@@ -60,8 +60,11 @@ def sentiment_delta(
     A star level with no profile contributes 0. The delta map always covers
     stars 1..5; net is its sum.
     """
-    score_a = _score_map(profiles_a)
-    score_b = _score_map(profiles_b)
+    return _delta(_score_map(profiles_a), _score_map(profiles_b))
+
+
+def _delta(score_a: dict[int, int], score_b: dict[int, int]) -> tuple[dict[int, int], int]:
+    """sentiment_delta over already-normalized score maps."""
     delta = {s: score_a.get(s, 0) - score_b.get(s, 0) for s in STAR_LEVELS}
     return delta, sum(delta.values())
 
@@ -133,7 +136,7 @@ def build_disparity_report(
     common, missing_a, missing_b = compare_features(a, b)
     score_a = _score_map(profiles_a)
     score_b = _score_map(profiles_b)
-    delta, net = sentiment_delta(score_a, score_b)
+    delta, net = _delta(score_a, score_b)
     deficiency_a = weighted_deficiency(missing_a, taxonomy)
     deficiency_b = weighted_deficiency(missing_b, taxonomy)
     return DisparityReport(

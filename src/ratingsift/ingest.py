@@ -14,7 +14,7 @@ an opaque string token for anything unrecognizable.
 import ast
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import IO, Iterable, Iterator, Union
 
 from .taxonomy import DEFAULT_TAXONOMY, FeatureTaxonomy
@@ -57,14 +57,7 @@ class BusinessCounters:
     unknown_feature_names: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "parsed": self.parsed,
-            "skipped_malformed": self.skipped_malformed,
-            "skipped_non_restaurant": self.skipped_non_restaurant,
-            "skipped_duplicate_id": self.skipped_duplicate_id,
-            "attribute_fallbacks": self.attribute_fallbacks,
-            "unknown_feature_names": self.unknown_feature_names,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -77,12 +70,7 @@ class ReviewCounters:
     skipped_bad_stars: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "parsed": self.parsed,
-            "skipped_malformed": self.skipped_malformed,
-            "skipped_unknown_business": self.skipped_unknown_business,
-            "skipped_bad_stars": self.skipped_bad_stars,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -102,28 +90,14 @@ class BusinessRecord:
     features: frozenset[str]
     is_restaurant: bool
 
+    # Both record types serialize from vars(): dataclasses.asdict would
+    # deep-copy every value, and these run once per record written.
     def to_json_dict(self) -> dict:
-        return {
-            "business_id": self.business_id,
-            "name": self.name,
-            "overall_stars": self.overall_stars,
-            "review_count": self.review_count,
-            "raw_attributes": self.raw_attributes,
-            "features": sorted(self.features),
-            "is_restaurant": self.is_restaurant,
-        }
+        return {**vars(self), "features": sorted(self.features)}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "BusinessRecord":
-        return cls(
-            business_id=obj["business_id"],
-            name=obj["name"],
-            overall_stars=obj["overall_stars"],
-            review_count=obj["review_count"],
-            raw_attributes=obj["raw_attributes"],
-            features=frozenset(obj["features"]),
-            is_restaurant=obj["is_restaurant"],
-        )
+        return cls(**{**obj, "features": frozenset(obj["features"])})
 
 
 @dataclass(frozen=True)
@@ -138,25 +112,11 @@ class ReviewRecord:
     date: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "review_id": self.review_id,
-            "business_id": self.business_id,
-            "user_id": self.user_id,
-            "stars": self.stars,
-            "text": self.text,
-            "date": self.date,
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ReviewRecord":
-        return cls(
-            review_id=obj["review_id"],
-            business_id=obj["business_id"],
-            user_id=obj["user_id"],
-            stars=obj["stars"],
-            text=obj["text"],
-            date=obj["date"],
-        )
+        return cls(**obj)
 
 
 def parse_attribute_value(raw: str, counters: BusinessCounters | None = None) -> AttributeValue:
@@ -342,16 +302,31 @@ def _flatten_raw(
     return frozenset(features)
 
 
-def _iter_lines(stream) -> Iterator[str | None]:
-    """Yield decoded lines; None marks a line that is not valid UTF-8."""
+def _iter_objects(stream, counters: BusinessCounters | ReviewCounters) -> Iterator[dict]:
+    """Yield the JSON object on each non-blank line.
+
+    Lines that are not UTF-8, not JSON, or JSON but not an object are
+    skipped and counted in ``counters.skipped_malformed``.
+    """
     for line in stream:
         if isinstance(line, bytes):
             try:
-                yield line.decode("utf-8")
+                line = line.decode("utf-8")
             except UnicodeDecodeError:
-                yield None
+                counters.skipped_malformed += 1
+                continue
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError:
+            counters.skipped_malformed += 1
+            continue
+        if isinstance(obj, dict):
+            yield obj
         else:
-            yield line
+            counters.skipped_malformed += 1
 
 
 def _stringify_attribute(value) -> str:
@@ -380,8 +355,6 @@ def _build_business(
     counters: BusinessCounters | None,
 ) -> BusinessRecord | None:
     """Build a record from one decoded JSON object; None when malformed."""
-    if not isinstance(obj, dict):
-        return None
     business_id = obj.get("business_id")
     if not isinstance(business_id, str) or not business_id:
         return None
@@ -434,18 +407,7 @@ def parse_businesses(
     """
     if counters is None:
         counters = BusinessCounters()
-    for line in _iter_lines(stream):
-        if line is None:
-            counters.skipped_malformed += 1
-            continue
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
-            counters.skipped_malformed += 1
-            continue
+    for obj in _iter_objects(stream, counters):
         record = _build_business(obj, taxonomy, counters)
         if record is None:
             counters.skipped_malformed += 1
@@ -470,22 +432,8 @@ def parse_reviews(
     """
     if counters is None:
         counters = ReviewCounters()
-    known = known_business_ids if isinstance(known_business_ids, (set, frozenset, dict)) else set(known_business_ids)
-    for line in _iter_lines(stream):
-        if line is None:
-            counters.skipped_malformed += 1
-            continue
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
-            counters.skipped_malformed += 1
-            continue
-        if not isinstance(obj, dict):
-            counters.skipped_malformed += 1
-            continue
+    known = set(known_business_ids)
+    for obj in _iter_objects(stream, counters):
         review_id = obj.get("review_id")
         business_id = obj.get("business_id")
         if not isinstance(review_id, str) or not review_id:

@@ -10,7 +10,7 @@ terms gives the document's sentiment score.
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .ingest import ReviewRecord
@@ -49,7 +49,7 @@ def build_star_documents(
     reviews, they just carry no scoreable terms. Output is sorted by
     (business_id, stars) so the corpus is reproducible.
     """
-    cohort = cohort_ids if isinstance(cohort_ids, (set, frozenset, dict)) else set(cohort_ids)
+    cohort = set(cohort_ids)
     buckets: dict[tuple[str, int], Counter] = {}
     for review in reviews:
         if review.business_id not in cohort:
@@ -146,11 +146,7 @@ class LexiconCounters:
     skipped_malformed: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "loaded": self.loaded,
-            "skipped_multiword": self.skipped_multiword,
-            "skipped_malformed": self.skipped_malformed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -18,17 +18,18 @@ from .ingest import BusinessRecord, ReviewRecord
 from .sentiment import CohortScores, CorpusStats, TopicProfile
 from .taxonomy import FeatureTaxonomy, RankEntry
 
-# Pipeline order; a stage implicitly invalidates everything after it.
-STAGES = ("ingest", "rank", "score")
-
-_DOWNSTREAM_ARTIFACTS = {
-    "ingest": (
-        "ranked.csv", "feature_frequency.csv", "taxonomy.cfg",
-        "topics.tsv", "cohort_scores.csv", "corpus_stats.json",
-    ),
-    "rank": ("topics.tsv", "cohort_scores.csv", "corpus_stats.json"),
-    "score": (),
+# Each stage in pipeline order, with the artifacts it writes. Recording a
+# stage deletes the artifacts of every later stage.
+STAGES = {
+    "ingest": ("businesses.jsonl", "reviews.jsonl", "ingest_summary.json"),
+    "rank": ("taxonomy.cfg", "ranked.csv", "feature_frequency.csv"),
+    "score": ("topics.tsv", "cohort_scores.csv", "corpus_stats.json"),
 }
+
+
+def _artifact(name: str) -> property:
+    """A Workspace path property for the file ``name`` under the root."""
+    return property(lambda self: self.root / name)
 
 
 class StaleWorkspaceError(Exception):
@@ -47,49 +48,17 @@ class Workspace:
 
     # artifact paths ----------------------------------------------------
 
-    @property
-    def businesses_path(self) -> Path:
-        return self.root / "businesses.jsonl"
-
-    @property
-    def reviews_path(self) -> Path:
-        return self.root / "reviews.jsonl"
-
-    @property
-    def ingest_summary_path(self) -> Path:
-        return self.root / "ingest_summary.json"
-
-    @property
-    def taxonomy_path(self) -> Path:
-        return self.root / "taxonomy.cfg"
-
-    @property
-    def ranked_path(self) -> Path:
-        return self.root / "ranked.csv"
-
-    @property
-    def frequency_path(self) -> Path:
-        return self.root / "feature_frequency.csv"
-
-    @property
-    def topics_path(self) -> Path:
-        return self.root / "topics.tsv"
-
-    @property
-    def cohort_scores_path(self) -> Path:
-        return self.root / "cohort_scores.csv"
-
-    @property
-    def corpus_stats_path(self) -> Path:
-        return self.root / "corpus_stats.json"
-
-    @property
-    def manifest_path(self) -> Path:
-        return self.root / "manifest.json"
-
-    @property
-    def lock_path(self) -> Path:
-        return self.root / ".lock"
+    businesses_path = _artifact("businesses.jsonl")
+    reviews_path = _artifact("reviews.jsonl")
+    ingest_summary_path = _artifact("ingest_summary.json")
+    taxonomy_path = _artifact("taxonomy.cfg")
+    ranked_path = _artifact("ranked.csv")
+    frequency_path = _artifact("feature_frequency.csv")
+    topics_path = _artifact("topics.tsv")
+    cohort_scores_path = _artifact("cohort_scores.csv")
+    corpus_stats_path = _artifact("corpus_stats.json")
+    manifest_path = _artifact("manifest.json")
+    lock_path = _artifact(".lock")
 
     # locking -----------------------------------------------------------
 
@@ -116,8 +85,7 @@ class Workspace:
         if not self.manifest_path.exists():
             return {"tool_version": None, "config_hash": None, "cutoff": None,
                     "k": None, "lexicon_path": None, "stages": {}}
-        with open(self.manifest_path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+        return _read_json(self.manifest_path)
 
     def save_manifest(self, manifest: dict) -> None:
         _write_json(self.manifest_path, manifest)
@@ -128,10 +96,11 @@ class Workspace:
             manifest = self.load_manifest()
         stages = manifest.setdefault("stages", {})
         stages[stage] = info
-        for later in STAGES[STAGES.index(stage) + 1:]:
+        order = list(STAGES)
+        for later in order[order.index(stage) + 1:]:
             stages.pop(later, None)
-        for name in _DOWNSTREAM_ARTIFACTS[stage]:
-            (self.root / name).unlink(missing_ok=True)
+            for name in STAGES[later]:
+                (self.root / name).unlink(missing_ok=True)
         self.save_manifest(manifest)
         return manifest
 
@@ -180,22 +149,20 @@ class Workspace:
         _write_json(self.ingest_summary_path, summary)
 
     def read_ingest_summary(self) -> dict:
-        with open(self.ingest_summary_path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+        return _read_json(self.ingest_summary_path)
 
     # rank artifacts ----------------------------------------------------
 
     def write_taxonomy(self, taxonomy: FeatureTaxonomy) -> None:
-        self.taxonomy_path.write_text(taxonomy.dumps(), encoding="utf-8")
+        with _create(self.taxonomy_path) as handle:
+            handle.write(taxonomy.dumps())
 
     def write_ranked(self, entries: Iterable[RankEntry]) -> None:
-        with open(self.ranked_path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["business_id", "feature_count", "weighted_score"])
-            for entry in entries:
-                writer.writerow(
-                    [entry.business_id, entry.feature_count, f"{entry.weighted_score:.6f}"]
-                )
+        _write_csv(
+            self.ranked_path,
+            ["business_id", "feature_count", "weighted_score"],
+            ([e.business_id, e.feature_count, f"{e.weighted_score:.6f}"] for e in entries),
+        )
 
     def read_ranked(self) -> list[RankEntry]:
         entries = []
@@ -214,54 +181,66 @@ class Workspace:
 
     def write_frequency(self, counts: Mapping[str, int]) -> None:
         ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        with open(self.frequency_path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["feature", "frequency"])
-            writer.writerows(ordered)
+        _write_csv(self.frequency_path, ["feature", "frequency"], ordered)
 
     # score artifacts ---------------------------------------------------
 
     def write_topics(self, profiles: Iterable[TopicProfile]) -> None:
-        with open(self.topics_path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, delimiter="\t", lineterminator="\n")
-            writer.writerow(["business_id", "stars", "rank", "term", "tfidf_weight"])
-            for profile in profiles:
-                for rank, (term, weight) in enumerate(profile.topics, start=1):
-                    writer.writerow(
-                        [profile.business_id, profile.stars, rank, term, f"{weight:.6f}"]
-                    )
+        _write_csv(
+            self.topics_path,
+            ["business_id", "stars", "rank", "term", "tfidf_weight"],
+            (
+                [profile.business_id, profile.stars, rank, term, f"{weight:.6f}"]
+                for profile in profiles
+                for rank, (term, weight) in enumerate(profile.topics, start=1)
+            ),
+            delimiter="\t",
+        )
 
     def write_cohort_scores(self, scores: CohortScores) -> None:
-        with open(self.cohort_scores_path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["stars", "combined", "average", "populated_count"])
-            for stars in sorted(scores.combined):
-                writer.writerow(
-                    [
-                        stars,
-                        scores.combined[stars],
-                        f"{scores.average[stars]:.6f}",
-                        scores.populated_counts[stars],
-                    ]
-                )
+        _write_csv(
+            self.cohort_scores_path,
+            ["stars", "combined", "average", "populated_count"],
+            (
+                [stars, scores.combined[stars], f"{scores.average[stars]:.6f}",
+                 scores.populated_counts[stars]]
+                for stars in sorted(scores.combined)
+            ),
+        )
 
     def write_corpus_stats(self, stats: CorpusStats) -> None:
         _write_json(self.corpus_stats_path, {"n_docs": stats.n_docs, "df": stats.df})
 
     def read_corpus_stats(self) -> CorpusStats:
-        with open(self.corpus_stats_path, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
+        obj = _read_json(self.corpus_stats_path)
         return CorpusStats(n_docs=obj["n_docs"], df=obj["df"])
 
 
+def _create(path: Path):
+    """Open an artifact for writing: UTF-8, "\\n" line endings on every platform."""
+    return open(path, "w", encoding="utf-8", newline="")
+
+
+def _write_csv(path: Path, header: list, rows: Iterable, delimiter: str = ",") -> None:
+    with _create(path) as handle:
+        writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _write_json(path: Path, obj) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with _create(path) as handle:
         json.dump(obj, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
+def _read_json(path: Path):
+    with open(path, "r", encoding="utf-8") as handle:
+        return json.load(handle)
+
+
 def _write_jsonl(path: Path, objects: Iterable[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with _create(path) as handle:
         for obj in objects:
             handle.write(json.dumps(obj, sort_keys=True, separators=(",", ":")))
             handle.write("\n")

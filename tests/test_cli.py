@@ -161,6 +161,18 @@ class TestExitCodes:
         assert main(["compare", "--workspace", str(ws),
                      "--a", "ref_a", "--b", "ghost"]) == 1
 
+    def test_id_with_leading_dash_in_equals_form(self, data_dir, lexicon_file, tmp_path, capsys):
+        # Yelp ids may start with "-"; "--a=<id>" keeps argparse from reading a flag
+        with open(data_dir / "business.json", "a", encoding="utf-8") as handle:
+            handle.write(business_line("-dash", attributes=attributes_for({"wifi"})) + "\n")
+        with open(data_dir / "review.json", "a", encoding="utf-8") as handle:
+            handle.write(review_line("r-dash", "-dash", 5, "amazing pasta") + "\n")
+        ws = tmp_path / "ws"
+        run_pipeline(data_dir, lexicon_file, ws, through="score")
+        capsys.readouterr()
+        assert main(["compare", "--workspace", str(ws), "--a=-dash", "--b=ref_b"]) == 0
+        assert json.loads(capsys.readouterr().out)["id_a"] == "-dash"
+
     def test_locked_workspace(self, data_dir, lexicon_file, tmp_path):
         ws = tmp_path / "ws"
         run_pipeline(data_dir, lexicon_file, ws, through="ingest")

@@ -186,14 +186,6 @@ class TestParseBusinesses:
         assert records[0].features == {"wifi", "hastv"}
         assert counters.parsed == 2
 
-    def test_malformed_lines_skipped_and_counted(self):
-        lines = [business_line("b1"), "{not json", '"a bare string"', "[1,2]"]
-        counters = BusinessCounters()
-        records = list(parse_businesses(lines, counters=counters))
-        assert len(records) == 1
-        assert counters.parsed == 1
-        assert counters.skipped_malformed == 3
-
     def test_blank_lines_invisible_to_counters(self):
         lines = [business_line("b1"), "", "   ", "\t", business_line("b2")]
         counters = BusinessCounters()
@@ -327,10 +319,32 @@ class TestParseReviews:
         reviews = list(parse_reviews([json.dumps(obj)], {"b1"}))
         assert reviews[0].text == ""
 
-    def test_malformed_counted(self):
-        counters = ReviewCounters()
-        assert list(parse_reviews(["{bad"], {"b1"}, counters)) == []
-        assert counters.skipped_malformed == 1
+
+def _business_pass(lines):
+    counters = BusinessCounters()
+    return list(parse_businesses(lines, counters=counters)), counters
+
+
+def _review_pass(lines):
+    counters = ReviewCounters()
+    return list(parse_reviews(lines, {"b1"}, counters)), counters
+
+
+@pytest.mark.parametrize("parse,good", [
+    (_business_pass, business_line("b1")),
+    (_review_pass, review_line("r1", "b1", 4, "fine")),
+], ids=["businesses", "reviews"])
+@pytest.mark.parametrize("bad", [
+    b"\xff\xfe{}",          # not UTF-8
+    '"a bare string"',
+    "[1, 2]",
+    "{broken",
+], ids=["non_utf8", "json_string", "json_array", "broken_json"])
+def test_malformed_lines_skipped_and_counted(parse, good, bad):
+    records, counters = parse([good, bad])
+    assert len(records) == 1
+    assert counters.parsed == 1
+    assert counters.skipped_malformed == 1
 
 
 class TestLoaders:
@@ -393,3 +407,18 @@ def test_business_counter_exactness_property(lines):
     list(parse_businesses(lines, counters=counters, restaurants_only=False))
     non_blank = sum(1 for l in lines if l.strip())
     assert counters.parsed + counters.skipped_malformed == non_blank
+
+
+@given(st.lists(st.text(max_size=60), max_size=20))
+@settings(max_examples=60, deadline=None)
+def test_review_counter_exactness_property(lines):
+    counters = ReviewCounters()
+    list(parse_reviews(lines, {"b1"}, counters))
+    non_blank = sum(1 for l in lines if l.strip())
+    total = (
+        counters.parsed
+        + counters.skipped_malformed
+        + counters.skipped_unknown_business
+        + counters.skipped_bad_stars
+    )
+    assert total == non_blank

@@ -16,6 +16,14 @@ from ratingsift.taxonomy import RankEntry
 from conftest import make_business, make_review
 
 
+# Path properties of the artifacts each stage writes, in pipeline order.
+STAGE_ARTIFACTS = [
+    ("ingest", ("businesses_path", "reviews_path", "ingest_summary_path")),
+    ("rank", ("taxonomy_path", "ranked_path", "frequency_path")),
+    ("score", ("topics_path", "cohort_scores_path", "corpus_stats_path")),
+]
+
+
 @pytest.fixture
 def ws(tmp_path):
     workspace = Workspace(tmp_path / "ws")
@@ -73,6 +81,19 @@ class TestStages:
         ws.record_stage("rank", {})
         assert ws.businesses_path.exists()
         assert not ws.corpus_stats_path.exists()
+
+
+    @pytest.mark.parametrize("stage", [stage for stage, _ in STAGE_ARTIFACTS])
+    def test_recording_deletes_only_later_stages_artifacts(self, ws, stage):
+        for _, paths in STAGE_ARTIFACTS:
+            for path in paths:
+                getattr(ws, path).write_text("x", encoding="utf-8")
+        ws.record_stage(stage, {})
+        position = [name for name, _ in STAGE_ARTIFACTS].index(stage)
+        for index, (_, paths) in enumerate(STAGE_ARTIFACTS):
+            for path in paths:
+                assert getattr(ws, path).exists() == (index <= position), path
+        assert ws.manifest_path.exists()
 
 
 class TestTaxonomyHash:
