@@ -6,12 +6,13 @@ aborts a run; every skip path increments a counter so that, over the
 non-blank lines of a file, parsed + skipped counts always add up exactly.
 
 Attribute values arrive as strings in Python-literal style, e.g. "True",
-"u'free'", "{'classy': True, 'romantic': False}". ``parse_attribute_value``
-turns them into booleans, ints, strings, or one-level maps, falling back to
-an opaque string token for anything unrecognizable.
+"u'free'", "{'classy': True, 'romantic': False}". One grammar reads them: a
+leaf is True/False/None, a decimal integer or a quoted string without
+backslashes (optional u prefix); a map is braces around ``key: leaf``
+entries with quoted or bare keys. Any other Python literal syntax is an
+opaque string token, counted as a fallback.
 """
 
-import ast
 import json
 import re
 from dataclasses import asdict, dataclass
@@ -30,9 +31,15 @@ _POSITIVE_TOKENS = frozenset({"yes", "true", "1"})
 
 VALID_BUSINESS_STARS = frozenset({1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0})
 
-_INT_RE = re.compile(r"^[+-]?\d+$")
-_QUOTED_RE = re.compile(r"^u?(?:'(?P<sq>[^']*)'|\"(?P<dq>[^\"]*)\")$")
-_BARE_KEY_RE = re.compile(r"^[A-Za-z0-9_-]+$")
+# _ENTRY_RE reads one map entry and the comma or closing brace after it; a
+# bare key starting like a number (0x10, 1e5) is a number to Python.
+_LEAF = r"""True|False|None|[+-]?\d+|u?(?:'[^'\\]*'|"[^"\\]*")"""
+_LEAF_RE = re.compile(_LEAF)
+_ENTRY_RE = re.compile(
+    rf"\s*(?:(?:(?P<key>{_LEAF})|(?P<bare>(?!-?\d)[A-Za-z0-9_-]+))"
+    rf"\s*:\s*(?P<value>{_LEAF})\s*)?(?P<end>,|\}}\Z)"
+)
+_CONSTANTS = {"True": True, "False": False, "None": None}
 
 
 class IngestError(Exception):
@@ -122,110 +129,51 @@ class ReviewRecord:
 def parse_attribute_value(raw: str, counters: BusinessCounters | None = None) -> AttributeValue:
     """Parse one raw attribute value string.
 
-    Recognized forms: True/False/None literals, integers, quoted strings
-    with an optional u-prefix, and brace-delimited one-level maps with bare
-    or quoted keys. Anything else comes back unchanged as an opaque string
-    token, counted in ``counters.attribute_fallbacks``. Never raises.
+    The one grammar: a leaf is True, False, None, a decimal integer, or a
+    quoted string without backslashes (optional u prefix). A map is braces
+    around ``key: leaf`` entries separated by commas, empty ones tolerated;
+    a key is quoted, or a bare word of letters, digits, ``_`` and ``-`` not
+    starting like a number, and a later duplicate wins. Anything else, other
+    Python literal syntax included, is returned unchanged as an opaque token
+    counted in ``counters.attribute_fallbacks``. Never raises.
     """
     s = raw.strip()
-    value = _parse_leaf(s)
-    if value is not _UNPARSED:
-        return value
-    if s.startswith("{") and s.endswith("}"):
-        parsed = _parse_map(s)
-        if parsed is not None:
-            return parsed
+    try:
+        if _LEAF_RE.fullmatch(s):
+            return _leaf_value(s)
+        if s.startswith("{"):
+            return _parse_map(s)
+    except ValueError:  # outside the grammar, or past int()'s digit limit
+        pass
     if counters is not None:
         counters.attribute_fallbacks += 1
     return raw
 
 
-_UNPARSED = object()
+def _leaf_value(token: str) -> AttributeValue:
+    """The value of a token that matched the leaf grammar."""
+    if token in _CONSTANTS:
+        return _CONSTANTS[token]
+    if token[-1] in "'\"":
+        return token.removeprefix("u")[1:-1]
+    return int(token)
 
 
-def _parse_leaf(s: str):
-    """Parse a non-map value; returns _UNPARSED when nothing matches."""
-    if s == "True":
-        return True
-    if s == "False":
-        return False
-    if s == "None":
-        return None
-    if _INT_RE.match(s):
-        return int(s)
-    quoted = _QUOTED_RE.match(s)
-    if quoted:
-        inner = quoted.group("sq")
-        return inner if inner is not None else quoted.group("dq")
-    return _UNPARSED
-
-
-def _parse_map(s: str) -> dict | None:
-    """Parse a brace-delimited map of leaf values; None when malformed."""
-    try:
-        value = ast.literal_eval(s)
-    except (ValueError, SyntaxError):
-        value = None
-    if isinstance(value, dict):
-        out = {}
-        for key, inner in value.items():
-            # leaves only: non-string keys, deeper nesting, and non-leaf
-            # types (floats included) make the whole value unrecognizable
-            if not isinstance(key, str) or not isinstance(inner, (bool, int, str, type(None))):
-                return None
-            out[key] = inner
-        return out
-    # literal_eval rejects bare keys ({garage: True}); scan those by hand
-    return _parse_bare_key_map(s)
-
-
-def _parse_bare_key_map(s: str) -> dict | None:
-    body = s[1:-1].strip()
-    if not body:
-        return {}
+def _parse_map(s: str) -> dict:
+    """Parse a map that starts at s[0]; raises ValueError when malformed."""
     out = {}
-    for part in _split_top_level(body):
-        if ":" not in part:
-            return None
-        key_text, value_text = part.split(":", 1)
-        key = _parse_key(key_text.strip())
-        if key is None:
-            return None
-        value = _parse_leaf(value_text.strip())
-        if value is _UNPARSED:
-            return None
-        out[key] = value
+    pos, end = 1, ","
+    while end == ",":
+        entry = _ENTRY_RE.match(s, pos)
+        if entry is None:
+            raise ValueError(f"malformed map entry at {pos}")
+        if entry["value"] is not None:
+            key = entry["bare"] or _leaf_value(entry["key"])
+            if not isinstance(key, str):
+                raise ValueError(f"non-string map key {key!r}")
+            out[key] = _leaf_value(entry["value"])
+        pos, end = entry.end(), entry["end"]
     return out
-
-
-def _split_top_level(body: str) -> list[str]:
-    """Split on commas outside quotes; map values are leaves so no nesting."""
-    parts, buf, quote = [], [], ""
-    for ch in body:
-        if quote:
-            buf.append(ch)
-            if ch == quote:
-                quote = ""
-        elif ch in "'\"":
-            quote = ch
-            buf.append(ch)
-        elif ch == ",":
-            parts.append("".join(buf))
-            buf = []
-        else:
-            buf.append(ch)
-    parts.append("".join(buf))
-    return [p.strip() for p in parts if p.strip()]
-
-
-def _parse_key(text: str) -> str | None:
-    quoted = _QUOTED_RE.match(text)
-    if quoted:
-        inner = quoted.group("sq")
-        return inner if inner is not None else quoted.group("dq")
-    if _BARE_KEY_RE.match(text):
-        return text
-    return None
 
 
 def normalize_flag(value: AttributeValue, attribute_name: str) -> bool:
@@ -282,22 +230,14 @@ def _flatten_raw(
     features: set[str] = set()
     for attr_name, raw in raw_attributes.items():
         value = parse_attribute_value(raw, counters)
-        if isinstance(value, dict):
-            for inner_name, inner_value in value.items():
-                key = inner_name.lower()
-                if key not in universe:
-                    if counters is not None:
-                        counters.unknown_feature_names += 1
-                    continue
-                if normalize_flag(inner_value, key):
-                    features.add(key)
-        else:
-            key = attr_name.lower()
+        leaves = value.items() if isinstance(value, dict) else ((attr_name, value),)
+        for name, leaf in leaves:
+            key = name.lower()
             if key not in universe:
                 if counters is not None:
                     counters.unknown_feature_names += 1
                 continue
-            if normalize_flag(value, key):
+            if normalize_flag(leaf, key):
                 features.add(key)
     return frozenset(features)
 

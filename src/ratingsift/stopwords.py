@@ -1,32 +1,30 @@
 """Frozen English stopword list used by the tokenizer.
 
-The standard 179-entry English function-word list. Frozen on purpose:
-changing it changes every topic profile and sentiment score downstream,
-so treat any edit as a breaking change.
+The standard 179-entry English function-word list, less the 34 entries
+``tokenize`` can never emit: the contractions (it splits on apostrophes)
+and the one-character words (it drops tokens shorter than two). The
+effective list is unchanged. Frozen on purpose: changing it changes every
+topic profile and sentiment score downstream, so treat any edit as a
+breaking change.
 """
 
 STOPWORDS = frozenset({
-    "i", "me", "my", "myself", "we", "our", "ours", "ourselves", "you",
-    "you're", "you've", "you'll", "you'd", "your", "yours", "yourself",
-    "yourselves", "he", "him", "his", "himself", "she", "she's", "her",
-    "hers", "herself", "it", "it's", "its", "itself", "they", "them",
-    "their", "theirs", "themselves", "what", "which", "who", "whom",
-    "this", "that", "that'll", "these", "those", "am", "is", "are",
-    "was", "were", "be", "been", "being", "have", "has", "had", "having",
-    "do", "does", "did", "doing", "a", "an", "the", "and", "but", "if",
-    "or", "because", "as", "until", "while", "of", "at", "by", "for",
-    "with", "about", "against", "between", "into", "through", "during",
-    "before", "after", "above", "below", "to", "from", "up", "down",
-    "in", "out", "on", "off", "over", "under", "again", "further",
-    "then", "once", "here", "there", "when", "where", "why", "how",
-    "all", "any", "both", "each", "few", "more", "most", "other",
+    "me", "my", "myself", "we", "our", "ours", "ourselves", "you",
+    "your", "yours", "yourself", "yourselves", "he", "him", "his",
+    "himself", "she", "her", "hers", "herself", "it", "its", "itself",
+    "they", "them", "their", "theirs", "themselves", "what", "which",
+    "who", "whom", "this", "that", "these", "those", "am", "is", "are",
+    "was", "were", "be", "been", "being", "have", "has", "had",
+    "having", "do", "does", "did", "doing", "an", "the", "and", "but",
+    "if", "or", "because", "as", "until", "while", "of", "at", "by",
+    "for", "with", "about", "against", "between", "into", "through",
+    "during", "before", "after", "above", "below", "to", "from", "up",
+    "down", "in", "out", "on", "off", "over", "under", "again",
+    "further", "then", "once", "here", "there", "when", "where", "why",
+    "how", "all", "any", "both", "each", "few", "more", "most", "other",
     "some", "such", "no", "nor", "not", "only", "own", "same", "so",
-    "than", "too", "very", "s", "t", "can", "will", "just", "don",
-    "don't", "should", "should've", "now", "d", "ll", "m", "o", "re",
-    "ve", "y", "ain", "aren", "aren't", "couldn", "couldn't", "didn",
-    "didn't", "doesn", "doesn't", "hadn", "hadn't", "hasn", "hasn't",
-    "haven", "haven't", "isn", "isn't", "ma", "mightn", "mightn't",
-    "mustn", "mustn't", "needn", "needn't", "shan", "shan't", "shouldn",
-    "shouldn't", "wasn", "wasn't", "weren", "weren't", "won", "won't",
-    "wouldn", "wouldn't",
+    "than", "too", "very", "can", "will", "just", "don", "should",
+    "now", "ll", "re", "ve", "ain", "aren", "couldn", "didn", "doesn",
+    "hadn", "hasn", "haven", "isn", "ma", "mightn", "mustn", "needn",
+    "shan", "shouldn", "wasn", "weren", "won", "wouldn",
 })

@@ -173,6 +173,21 @@ class TestExitCodes:
         assert main(["compare", "--workspace", str(ws), "--a=-dash", "--b=ref_b"]) == 0
         assert json.loads(capsys.readouterr().out)["id_a"] == "-dash"
 
+    def test_ingest_survives_deep_attribute_value(self, tmp_path, capsys):
+        deep = "{'garage': " + "-" * 5000 + "1}"
+        business = tmp_path / "business.json"
+        business.write_text(
+            business_line("deep", attributes={"BusinessParking": deep}) + "\n"
+            + business_line("good", attributes=attributes_for({"wifi"})) + "\n",
+            encoding="utf-8",
+        )
+        reviews = tmp_path / "review.json"
+        reviews.write_text("", encoding="utf-8")
+        assert main(["ingest", "--business", str(business), "--reviews", str(reviews),
+                     "--workspace", str(tmp_path / "ws")]) == 0
+        counts = json.loads(capsys.readouterr().out)["businesses"]
+        assert (counts["parsed"], counts["attribute_fallbacks"]) == (2, 1)
+
     def test_locked_workspace(self, data_dir, lexicon_file, tmp_path):
         ws = tmp_path / "ws"
         run_pipeline(data_dir, lexicon_file, ws, through="ingest")

@@ -1,5 +1,6 @@
 """Attribute parsing, flattening, and streaming file ingest."""
 
+import ast
 import io
 import json
 
@@ -58,6 +59,10 @@ class TestParseAttributeValue:
             "garage": False, "street": True, "lot": None,
         }
 
+    def test_quoted_key_may_hold_colon(self):
+        raw = "{'a:b': True, c: False}"
+        assert parse_attribute_value(raw) == {"a:b": True, "c": False}
+
     def test_map_with_string_values(self):
         raw = "{'wifi': u'free', 'level': 'quiet'}"
         assert parse_attribute_value(raw) == {"wifi": "free", "level": "quiet"}
@@ -76,6 +81,15 @@ class TestParseAttributeValue:
         "{broken",                    # unbalanced
         "[1, 2]",                     # list
         "{1: True}",                  # non-string key
+        pytest.param("{'garage': " + "-" * 5000 + "1}", id="deep-operator-chain"),
+        pytest.param("1" * 5000, id="past-int-digit-limit"),
+        "{{'a': 1}}",                 # set holding a map
+        "{'a': 'x\\'y'}",             # backslash escape
+        "{'a': 0x10}",                # hex int
+        "{'a': 'x' 'y'}",             # implicit concatenation
+        "{'a': (1)}",                 # parenthesised leaf
+        "{1: True, a: False}",        # number-like bare key
+        "{'a': 2.5, 'a': True}",      # non-leaf overwritten by a duplicate
     ])
     def test_unrecognized_falls_back_to_opaque_string(self, raw):
         counters = BusinessCounters()
@@ -398,6 +412,51 @@ class TestRecordSerialization:
 def test_parse_attribute_value_total(raw):
     # parser must accept arbitrary garbage without raising
     parse_attribute_value(raw)
+
+
+# Maps inside the attribute grammar, for ast.literal_eval as the reference:
+# strings hold no quotes, backslashes or line breaks, ints no leading zeros.
+_GRAMMAR_TEXT = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="'\"\\\n\r\x00"),
+    max_size=12,
+)
+
+_GRAMMAR_STRING = st.builds(
+    lambda prefix, quote, text: f"{prefix}{quote}{text}{quote}",
+    st.sampled_from(["", "u"]), st.sampled_from(["'", '"']), _GRAMMAR_TEXT,
+)
+_GRAMMAR_LEAF = st.one_of(
+    st.sampled_from(["True", "False", "None"]),
+    st.integers(-10**20, 10**20).map(str),
+    _GRAMMAR_STRING,
+)
+_IDENTIFIER = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,10}", fullmatch=True).filter(
+    lambda key: key not in ("True", "False", "None")
+)
+_SPACE = st.sampled_from(["", " ", "\t", "\n  "])
+
+
+def _map_text(entries):
+    return "{" + ",".join(f"{sp}{key}{sp}:{sp}{leaf}" for key, leaf, sp in entries) + "}"
+
+
+def _assert_same_map(parsed, expected):
+    assert parsed == expected
+    assert [type(v) for v in parsed.values()] == [type(v) for v in expected.values()]
+
+
+@given(st.lists(st.tuples(_GRAMMAR_STRING, _GRAMMAR_LEAF, _SPACE), max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_map_grammar_agrees_with_literal_eval(entries):
+    raw = _map_text(entries)
+    _assert_same_map(parse_attribute_value(raw), ast.literal_eval(raw))
+
+
+@given(st.lists(st.tuples(_IDENTIFIER, _GRAMMAR_LEAF, _SPACE), max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_bare_keys_read_like_quoted_keys(entries):
+    quoted = _map_text([(f"'{key}'", leaf, sp) for key, leaf, sp in entries])
+    _assert_same_map(parse_attribute_value(_map_text(entries)), ast.literal_eval(quoted))
 
 
 @given(st.lists(st.text(max_size=60), max_size=20))

@@ -19,6 +19,8 @@ from ratingsift import (
     tokenize,
     top_terms,
 )
+from ratingsift.sentiment import _TOKEN_RE
+from ratingsift.stopwords import STOPWORDS
 
 from conftest import make_review
 
@@ -39,6 +41,11 @@ class TestTokenize:
 
     def test_stopwords_dropped(self):
         assert tokenize("the food was not on our table") == ["food", "table"]
+
+    def test_every_stopword_is_a_token_tokenize_can_emit(self):
+        for word in STOPWORDS:
+            assert word == word.lower() and len(word) >= 2, word
+            assert _TOKEN_RE.fullmatch(word), word
 
     def test_digits_kept(self):
         assert tokenize("waited 45 minutes") == ["waited", "45", "minutes"]
