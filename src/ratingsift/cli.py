@@ -118,6 +118,14 @@ def cmd_rank(args) -> int:
             taxonomy = DEFAULT_TAXONOMY
         else:
             taxonomy = FeatureTaxonomy.load(args.taxonomy)
+            missing = sorted(DEFAULT_TAXONOMY.universe - taxonomy.universe)
+            unknown = sorted(taxonomy.universe - DEFAULT_TAXONOMY.universe)
+            if missing or unknown:
+                raise IngestError(
+                    f"taxonomy {args.taxonomy} must place each built-in feature in exactly "
+                    f"one category (weight 0 drops one from the scores): "
+                    f"missing {missing}, unknown {unknown}"
+                )
         businesses = workspace.read_businesses()
         ranked = rank_restaurants(businesses.values(), taxonomy, cutoff=args.cutoff)
         frequency = feature_frequency(ranked, businesses, taxonomy)

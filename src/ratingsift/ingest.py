@@ -18,7 +18,7 @@ import re
 from dataclasses import asdict, dataclass
 from typing import IO, Iterable, Iterator, Union
 
-from .taxonomy import DEFAULT_TAXONOMY, FeatureTaxonomy
+from .taxonomy import DEFAULT_TAXONOMY
 
 AttributeValue = Union[bool, int, str, None, dict]
 
@@ -30,6 +30,9 @@ _PRICE_ATTRIBUTE = "restaurantspricerange2"
 _POSITIVE_TOKENS = frozenset({"yes", "true", "1"})
 
 VALID_BUSINESS_STARS = frozenset({1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0})
+
+# The built-in feature names; flattening keeps only these.
+_UNIVERSE = DEFAULT_TAXONOMY.universe
 
 # _ENTRY_RE reads one map entry and the comma or closing brace after it; a
 # bare key starting like a number (0x10, 1e5) is a number to Python.
@@ -86,7 +89,7 @@ class BusinessRecord:
 
     ``raw_attributes`` holds the attribute map exactly as read (values as
     strings); ``features`` is the flattened canonical feature set, always a
-    subset of the taxonomy universe.
+    subset of the built-in features.
     """
 
     business_id: str
@@ -205,35 +208,30 @@ def normalize_flag(value: AttributeValue, attribute_name: str) -> bool:
 
 
 def flatten_features(
-    record: BusinessRecord,
-    taxonomy: FeatureTaxonomy = DEFAULT_TAXONOMY,
-    counters: BusinessCounters | None = None,
+    record: BusinessRecord, counters: BusinessCounters | None = None
 ) -> frozenset[str]:
     """Flatten a record's raw attributes into canonical feature names."""
-    return _flatten_raw(record.raw_attributes, taxonomy, counters)
+    return _flatten_raw(record.raw_attributes, counters)
 
 
 def _flatten_raw(
-    raw_attributes: dict[str, str],
-    taxonomy: FeatureTaxonomy,
-    counters: BusinessCounters | None,
+    raw_attributes: dict[str, str], counters: BusinessCounters | None
 ) -> frozenset[str]:
     """Core of flatten_features, working on the raw attribute map.
 
     Top-level leaf attributes map to their lowercased name; map-valued
     attributes (BusinessParking, GoodForMeal, Ambience) contribute the inner
-    keys whose value normalizes to present. Names outside the taxonomy
-    universe are ignored and counted; the map containers themselves are
+    keys whose value normalizes to present. Names outside the built-in
+    features are ignored and counted; the map containers themselves are
     structural and never counted.
     """
-    universe = taxonomy.universe
     features: set[str] = set()
     for attr_name, raw in raw_attributes.items():
         value = parse_attribute_value(raw, counters)
         leaves = value.items() if isinstance(value, dict) else ((attr_name, value),)
         for name, leaf in leaves:
             key = name.lower()
-            if key not in universe:
+            if key not in _UNIVERSE:
                 if counters is not None:
                     counters.unknown_feature_names += 1
                 continue
@@ -260,7 +258,7 @@ def _iter_objects(stream, counters: BusinessCounters | ReviewCounters) -> Iterat
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):  # also too many digits or too deep
             counters.skipped_malformed += 1
             continue
         if isinstance(obj, dict):
@@ -289,11 +287,7 @@ def _is_restaurant(categories) -> bool:
     return any(name.strip().lower() == "restaurants" for name in names)
 
 
-def _build_business(
-    obj: dict,
-    taxonomy: FeatureTaxonomy,
-    counters: BusinessCounters | None,
-) -> BusinessRecord | None:
+def _build_business(obj: dict, counters: BusinessCounters | None) -> BusinessRecord | None:
     """Build a record from one decoded JSON object; None when malformed."""
     business_id = obj.get("business_id")
     if not isinstance(business_id, str) or not business_id:
@@ -301,8 +295,8 @@ def _build_business(
     stars = obj.get("stars")
     if not isinstance(stars, (int, float)) or isinstance(stars, bool):
         return None
-    overall_stars = float(stars)
-    if overall_stars not in VALID_BUSINESS_STARS:
+    # Membership compares exactly, so an int too big for float() is just absent.
+    if stars not in VALID_BUSINESS_STARS:
         return None
     review_count = obj.get("review_count", 0)
     if not isinstance(review_count, int) or isinstance(review_count, bool) or review_count < 0:
@@ -317,17 +311,16 @@ def _build_business(
     return BusinessRecord(
         business_id=business_id,
         name=name if isinstance(name, str) else "",
-        overall_stars=overall_stars,
+        overall_stars=float(stars),
         review_count=review_count,
         raw_attributes=raw_attributes,
-        features=_flatten_raw(raw_attributes, taxonomy, counters),
+        features=_flatten_raw(raw_attributes, counters),
         is_restaurant=_is_restaurant(obj.get("categories")),
     )
 
 
 def parse_businesses(
     stream: Union[IO, Iterable],
-    taxonomy: FeatureTaxonomy = DEFAULT_TAXONOMY,
     counters: BusinessCounters | None = None,
     restaurants_only: bool = True,
 ) -> Iterator[BusinessRecord]:
@@ -335,7 +328,6 @@ def parse_businesses(
 
     Args:
         stream: open file (text or binary) or any iterable of lines.
-        taxonomy: taxonomy whose universe bounds the flattened features.
         counters: optional BusinessCounters, filled in place.
         restaurants_only: skip (and count) businesses whose category list
             does not include "Restaurants"; pass False to keep everything
@@ -348,7 +340,7 @@ def parse_businesses(
     if counters is None:
         counters = BusinessCounters()
     for obj in _iter_objects(stream, counters):
-        record = _build_business(obj, taxonomy, counters)
+        record = _build_business(obj, counters)
         if record is None:
             counters.skipped_malformed += 1
             continue
@@ -386,12 +378,8 @@ def parse_reviews(
         if not isinstance(raw_stars, (int, float)) or isinstance(raw_stars, bool):
             counters.skipped_malformed += 1
             continue
-        try:
-            stars = int(raw_stars)
-        except (ValueError, OverflowError):  # NaN / infinity
-            counters.skipped_bad_stars += 1
-            continue
-        if float(raw_stars) != stars or not 1 <= stars <= 5:
+        # Range first: NaN, infinity and ints too big for float() fail it.
+        if not 1 <= raw_stars <= 5 or raw_stars != int(raw_stars):
             counters.skipped_bad_stars += 1
             continue
         if business_id not in known:
@@ -405,16 +393,14 @@ def parse_reviews(
             review_id=review_id,
             business_id=business_id,
             user_id=user_id if isinstance(user_id, str) else "",
-            stars=stars,
+            stars=int(raw_stars),
             text=text if isinstance(text, str) else "",
             date=date if isinstance(date, str) else "",
         )
 
 
 def load_businesses(
-    path,
-    taxonomy: FeatureTaxonomy = DEFAULT_TAXONOMY,
-    restaurants_only: bool = True,
+    path, restaurants_only: bool = True
 ) -> tuple[dict[str, BusinessRecord], BusinessCounters]:
     """Parse a business file into an id-keyed dict.
 
@@ -426,7 +412,7 @@ def load_businesses(
     records: dict[str, BusinessRecord] = {}
     try:
         with open(path, "rb") as handle:
-            for record in parse_businesses(handle, taxonomy, counters, restaurants_only):
+            for record in parse_businesses(handle, counters, restaurants_only):
                 if record.business_id in records:
                     counters.skipped_duplicate_id += 1
                     continue

@@ -197,7 +197,7 @@ class SentimentLexicon:
                 if not -5 <= valence <= 5:
                     counters.skipped_malformed += 1
                     continue
-                if " " in term or not term:
+                if not term or any(c.isspace() for c in term):
                     counters.skipped_multiword += 1
                     continue
                 entries[term] = valence

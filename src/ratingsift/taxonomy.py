@@ -4,7 +4,8 @@ Restaurant features are partitioned into four categories (food, parking,
 amenities, qualities), each carrying a weight that expresses how much users
 value that kind of feature. The taxonomy drives three things: classifying a
 feature name, scoring a feature set as a weighted sum, and ranking
-restaurants by raw feature count.
+restaurants by raw feature count. The shipped taxonomies are stated in
+``configs/*.cfg``; the default one also fixes the built-in feature names.
 """
 
 import configparser
@@ -108,39 +109,20 @@ class FeatureTaxonomy:
         return hashlib.sha256(self.dumps().encode("utf-8")).hexdigest()
 
 
-DEFAULT_TAXONOMY = FeatureTaxonomy(
-    categories={
-        "food": frozenset({
-            "dessert", "latenight", "lunch", "dinner", "breakfast", "brunch",
-            "restaurantspricerange2", "alcohol",
-        }),
-        "parking": frozenset({
-            "bikeparking", "garage", "street", "validated", "lot", "valet",
-        }),
-        "amenities": frozenset({
-            "hastv", "outdoorseating", "businessacceptscreditcards",
-            "restaurantsdelivery", "restaurantstakeout", "wifi",
-            "restaurantstableservice", "restaurantscounterservice",
-            "caters", "restaurantsreservations",
-        }),
-        "qualities": frozenset({
-            "restaurantsgoodforgroups", "noiselevel", "restaurantsattire",
-            "goodforkids", "classy", "romantic", "intimate", "hipster",
-            "touristy", "trendy", "upscale", "casual",
-        }),
-    },
-    weights={"food": 1.0, "parking": 0.8, "amenities": 0.7, "qualities": 0.6},
-)
+def _shipped(cfg_name: str) -> FeatureTaxonomy:
+    """Load a taxonomy config that ships in the package's ``configs``."""
+    path = resources.files("ratingsift").joinpath(f"configs/{cfg_name}")
+    return FeatureTaxonomy.loads(path.read_text(encoding="utf-8"))
+
+
+# The built-in feature set is the universe of this taxonomy; ingest flattens
+# against it, and a custom taxonomy may only regroup and reweigh it.
+DEFAULT_TAXONOMY = _shipped("taxonomy_default.cfg")
 
 
 def alcohol_amenity_taxonomy() -> FeatureTaxonomy:
     """The shipped variant taxonomy with alcohol placed under amenities."""
-    text = (
-        resources.files("ratingsift")
-        .joinpath("configs/taxonomy_alcohol_amenity.cfg")
-        .read_text(encoding="utf-8")
-    )
-    return FeatureTaxonomy.loads(text)
+    return _shipped("taxonomy_alcohol_amenity.cfg")
 
 
 def classify_feature(name: str, taxonomy: FeatureTaxonomy = DEFAULT_TAXONOMY) -> str:
@@ -209,17 +191,14 @@ def rank_restaurants(
 
 def feature_frequency(
     ranked: RankedList,
-    businesses,
+    businesses: Mapping,
     taxonomy: FeatureTaxonomy = DEFAULT_TAXONOMY,
 ) -> dict[str, int]:
     """Per-feature possession counts over the ranked businesses.
 
-    ``businesses`` may be a mapping business_id -> record or any iterable of
-    records. Every feature in the taxonomy universe gets an entry, zero when
-    no ranked business has it.
+    ``businesses`` maps business_id -> record. Every feature in the taxonomy
+    universe gets an entry, zero when no ranked business has it.
     """
-    if not isinstance(businesses, Mapping):
-        businesses = {b.business_id: b for b in businesses}
     counts = {name: 0 for name in sorted(taxonomy.universe)}
     for entry in ranked.entries:
         record = businesses[entry.business_id]

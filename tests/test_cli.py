@@ -188,6 +188,59 @@ class TestExitCodes:
         counts = json.loads(capsys.readouterr().out)["businesses"]
         assert (counts["parsed"], counts["attribute_fallbacks"]) == (2, 1)
 
+    def test_ingest_counts_oversized_numbers(self, tmp_path, capsys):
+        business = tmp_path / "business.json"
+        business.write_text(
+            business_line("good") + "\n"
+            + business_line("huge", stars=10**400) + "\n"  # float() overflows
+            # past the interpreter's digit limit for int()
+            + '{"business_id": "long", "stars": 4, "name": 1' + "0" * 5000 + "}\n",
+            encoding="utf-8",
+        )
+        reviews = tmp_path / "review.json"
+        reviews.write_text(review_line("r1", "good", 10**400, "fine") + "\n", encoding="utf-8")
+        assert main(["ingest", "--business", str(business), "--reviews", str(reviews),
+                     "--workspace", str(tmp_path / "ws")]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        businesses, reviews = summary["businesses"], summary["reviews"]
+        assert (businesses["parsed"], businesses["skipped_malformed"]) == (1, 2)
+        assert (reviews["parsed"], reviews["skipped_bad_stars"]) == (0, 1)
+
+    @pytest.mark.parametrize("old,new,named", [
+        (" wifi\n", "\n", "wifi"),
+        ("features = alcohol", "features = alcohol dogsallowed", "dogsallowed"),
+    ], ids=["drops_wifi", "adds_dogsallowed"])
+    def test_rank_rejects_taxonomy_over_other_features(
+        self, data_dir, lexicon_file, tmp_path, capsys, old, new, named
+    ):
+        from ratingsift import DEFAULT_TAXONOMY
+        text = DEFAULT_TAXONOMY.dumps()
+        assert old in text
+        config = tmp_path / "custom.cfg"
+        config.write_text(text.replace(old, new), encoding="utf-8")
+        ws = tmp_path / "ws"
+        run_pipeline(data_dir, lexicon_file, ws, through="score")
+        before = {p: p.read_bytes() for p in sorted(ws.rglob("*"))}
+        capsys.readouterr()
+        assert main(["rank", "--workspace", str(ws), "--taxonomy", str(config)]) == 1
+        assert named in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in sorted(ws.rglob("*"))} == before
+
+    def test_rank_taxonomy_weight_zero_drops_feature(self, data_dir, lexicon_file, tmp_path):
+        from ratingsift import DEFAULT_TAXONOMY
+        config = tmp_path / "custom.cfg"
+        config.write_text(
+            DEFAULT_TAXONOMY.dumps().replace(" wifi\n", "\n")
+            + "[ignored]\nweight = 0\nfeatures = wifi\n",
+            encoding="utf-8",
+        )
+        ws = tmp_path / "ws"
+        run_pipeline(data_dir, lexicon_file, ws, through="ingest")
+        assert main(["rank", "--workspace", str(ws), "--cutoff", "0",
+                     "--taxonomy", str(config)]) == 0
+        rows = (ws / "ranked.csv").read_text(encoding="utf-8").splitlines()
+        assert "other1,2,0.700000" in rows  # wifi and hastv; only hastv weighs
+
     def test_locked_workspace(self, data_dir, lexicon_file, tmp_path):
         ws = tmp_path / "ws"
         run_pipeline(data_dir, lexicon_file, ws, through="ingest")

@@ -348,17 +348,27 @@ def _review_pass(lines):
     (_business_pass, business_line("b1")),
     (_review_pass, review_line("r1", "b1", 4, "fine")),
 ], ids=["businesses", "reviews"])
-@pytest.mark.parametrize("bad", [
-    b"\xff\xfe{}",          # not UTF-8
-    '"a bare string"',
-    "[1, 2]",
-    "{broken",
-], ids=["non_utf8", "json_string", "json_array", "broken_json"])
-def test_malformed_lines_skipped_and_counted(parse, good, bad):
+@pytest.mark.parametrize("bad,review_skip", [
+    (b"\xff\xfe{}", "skipped_malformed"),          # not UTF-8
+    ('"a bare string"', "skipped_malformed"),
+    ("[1, 2]", "skipped_malformed"),
+    ("{broken", "skipped_malformed"),
+    # stars too big for float(); out of range for a review
+    ('{"business_id": "b1", "review_id": "r2", "stars": 1' + "0" * 400 + "}",
+     "skipped_bad_stars"),
+    # past the interpreter's digit limit for int()
+    ('{"business_id": "b1", "review_id": "r2", "stars": 4, "n": 1' + "0" * 5000 + "}",
+     "skipped_malformed"),
+    ("[" * 100_000 + "]" * 100_000, "skipped_malformed"),  # past the recursion limit
+], ids=["non_utf8", "json_string", "json_array", "broken_json",
+        "huge_stars", "huge_number", "deep_nesting"])
+def test_malformed_lines_skipped_and_counted(parse, good, bad, review_skip):
     records, counters = parse([good, bad])
+    skip = review_skip if parse is _review_pass else "skipped_malformed"
     assert len(records) == 1
     assert counters.parsed == 1
-    assert counters.skipped_malformed == 1
+    skips = {k: v for k, v in counters.as_dict().items() if k.startswith("skipped_") and v}
+    assert skips == {skip: 1}
 
 
 class TestLoaders:

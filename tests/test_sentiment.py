@@ -194,6 +194,21 @@ class TestSentimentLexicon:
         assert counters.skipped_multiword == 1
         assert counters.skipped_malformed == 3
 
+    def test_any_inner_whitespace_is_multiword(self, tmp_path):
+        path = tmp_path / "lex.txt"
+        path.write_text(
+            "good\t2\n"
+            "not\u00a0good\t-2\n"  # no-break space
+            "so\x0bgood\t3\n"      # vertical tab
+            "fine\u2003day\t1\n"    # em space
+            " bad \t-3\n",          # outer whitespace is stripped
+            encoding="utf-8",
+        )
+        counters = LexiconCounters()
+        lexicon = SentimentLexicon.load(path, counters)
+        assert dict(lexicon.entries) == {"good": 2, "bad": -3}
+        assert counters.as_dict() == {"loaded": 2, "skipped_multiword": 3, "skipped_malformed": 0}
+
     def test_unknown_term_is_neutral(self):
         lexicon = SentimentLexicon(entries={"good": 2})
         assert lexicon.valence("ghost") == 0
