@@ -1,11 +1,13 @@
 """Walkthrough: the staged command line pipeline.
 
 The four subcommands (ingest, rank, score, compare) share one workspace
-directory. Each stage records itself in a manifest and wipes everything
-downstream, so artifacts can never silently mix configurations; a
-taxonomy hash catches hand-edited configs. All writers are deterministic,
-which this script proves by running the pipeline twice and hashing every
-artifact.
+directory. Before it writes, a stage wipes everything downstream; once its
+files are written, it records an entry in manifest.json holding its counts
+and settings (the taxonomy hash, the cutoff, k, the lexicon path and its
+SHA-256). So artifacts can never silently mix configurations, and the
+hashes catch a hand-edited taxonomy or lexicon. All writers are
+deterministic, which this script proves by running ingest, rank and score
+twice and hashing every file, manifest.json included.
 
 Run from the repository root:  python demos/05_staged_workspace.py
 """

@@ -3,12 +3,15 @@
 The four subcommands form a staged pipeline over one workspace directory.
 Exit codes: 0 on success, 1 on an input problem (missing file, bad record
 stream, unknown business id, bad flag), 2 when the workspace is stale,
-locked, or missing a prerequisite stage.
+locked, damaged, or missing a prerequisite stage, or when the lexicon
+changed since score.
 """
 
 import argparse
+import hashlib
 import json
 import sys
+from pathlib import Path
 
 from . import __version__
 from .disparity import build_disparity_report, render_text
@@ -90,6 +93,7 @@ def cmd_ingest(args) -> int:
         reviews, review_counters = load_reviews(
             args.reviews, known_business_ids=businesses.keys()
         )
+        workspace.begin_stage("ingest")
         workspace.write_businesses(businesses.values())
         workspace.write_reviews(reviews)
         summary = {
@@ -97,13 +101,11 @@ def cmd_ingest(args) -> int:
             "reviews": review_counters.as_dict(),
         }
         workspace.write_ingest_summary(summary)
-        manifest = workspace.load_manifest()
-        manifest["tool_version"] = __version__
-        workspace.record_stage(
-            "ingest",
-            {"businesses": business_counters.parsed, "reviews": review_counters.parsed},
-            manifest,
-        )
+        workspace.record_stage("ingest", {
+            "businesses": business_counters.parsed,
+            "reviews": review_counters.parsed,
+            "tool_version": __version__,
+        })
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
@@ -111,7 +113,7 @@ def cmd_ingest(args) -> int:
 def cmd_rank(args) -> int:
     workspace = Workspace(args.workspace)
     with workspace.lock():
-        manifest = workspace.require_stage("ingest")
+        workspace.require_stage("ingest")
         if args.cutoff < 0:
             raise IngestError("--cutoff must be zero or positive")
         if args.taxonomy is None:
@@ -129,12 +131,15 @@ def cmd_rank(args) -> int:
         businesses = workspace.read_businesses()
         ranked = rank_restaurants(businesses.values(), taxonomy, cutoff=args.cutoff)
         frequency = feature_frequency(ranked, businesses, taxonomy)
+        workspace.begin_stage("rank")
         workspace.write_taxonomy(taxonomy)
         workspace.write_ranked(ranked.entries)
         workspace.write_frequency(frequency)
-        manifest["config_hash"] = taxonomy.config_hash()
-        manifest["cutoff"] = args.cutoff
-        workspace.record_stage("rank", {"kept": len(ranked.entries)}, manifest)
+        workspace.record_stage("rank", {
+            "config_hash": taxonomy.config_hash(),
+            "cutoff": args.cutoff,
+            "kept": len(ranked.entries),
+        })
     print(f"ranked {len(ranked.entries)} restaurants (cutoff {args.cutoff})")
     return 0
 
@@ -142,23 +147,28 @@ def cmd_rank(args) -> int:
 def cmd_score(args) -> int:
     workspace = Workspace(args.workspace)
     with workspace.lock():
-        manifest = workspace.require_stage("rank")
+        stages = workspace.require_stage("rank")
         if args.k < 1:
             raise IngestError("--k must be at least 1")
-        workspace.verify_taxonomy_hash(manifest)
+        workspace.verify_taxonomy_hash(stages["rank"]["config_hash"])
         lexicon = SentimentLexicon.load(args.lexicon)
+        lexicon_sha256 = _sha256(args.lexicon)
         cohort_ids = frozenset(e.business_id for e in workspace.read_ranked())
         reviews = workspace.read_reviews()
         documents = build_star_documents(reviews, cohort_ids)
         stats = CorpusStats.from_documents(documents)
         profiles = build_topic_profiles(documents, stats, k=args.k, lexicon=lexicon)
         scores = cohort_scores(profiles)
+        workspace.begin_stage("score")
         workspace.write_topics(profiles)
         workspace.write_cohort_scores(scores)
         workspace.write_corpus_stats(stats)
-        manifest["k"] = args.k
-        manifest["lexicon_path"] = str(args.lexicon)
-        workspace.record_stage("score", {"documents": len(documents)}, manifest)
+        workspace.record_stage("score", {
+            "documents": len(documents),
+            "k": args.k,
+            "lexicon_path": str(args.lexicon),
+            "lexicon_sha256": lexicon_sha256,
+        })
     lines = [f"scored {len(documents)} star documents over {len(cohort_ids)} restaurants"]
     for stars in sorted(scores.combined):
         lines.append(
@@ -172,9 +182,15 @@ def cmd_score(args) -> int:
 def cmd_compare(args) -> int:
     workspace = Workspace(args.workspace)
     with workspace.lock():
-        manifest = workspace.require_stage("score")
-        taxonomy = workspace.verify_taxonomy_hash(manifest)
-        lexicon = SentimentLexicon.load(manifest["lexicon_path"])
+        stages = workspace.require_stage("score")
+        score = stages["score"]
+        taxonomy = workspace.verify_taxonomy_hash(stages["rank"]["config_hash"])
+        if _sha256(score["lexicon_path"]) != score["lexicon_sha256"]:
+            raise StaleWorkspaceError(
+                f"lexicon {score['lexicon_path']} changed since the score command; "
+                "re-run score"
+            )
+        lexicon = SentimentLexicon.load(score["lexicon_path"])
         businesses = workspace.read_businesses()
         for business_id in (args.a, args.b):
             if business_id not in businesses:
@@ -184,7 +200,7 @@ def cmd_compare(args) -> int:
         pair_ids = frozenset((args.a, args.b))
         documents = build_star_documents(reviews, pair_ids)
         profiles = build_topic_profiles(
-            documents, stats, k=manifest["k"], lexicon=lexicon
+            documents, stats, k=score["k"], lexicon=lexicon
         )
         report = build_disparity_report(
             businesses[args.a],
@@ -198,6 +214,10 @@ def cmd_compare(args) -> int:
     else:
         print(report.to_json(), end="")
     return 0
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 _COMMANDS = {

@@ -11,6 +11,7 @@ restaurants by raw feature count. The shipped taxonomies are stated in
 import configparser
 import hashlib
 import io
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Mapping
@@ -24,8 +25,9 @@ class UnknownFeatureError(ValueError):
 class FeatureTaxonomy:
     """Immutable category -> feature-name partition plus per-category weights.
 
-    Categories must be pairwise disjoint and weights non-negative; both are
-    validated at construction. Instances are safe to share between threads.
+    Categories must be pairwise disjoint and weights finite and non-negative;
+    both are validated at construction. Instances are safe to share between
+    threads.
     """
 
     categories: Mapping[str, frozenset[str]]
@@ -49,8 +51,10 @@ class FeatureTaxonomy:
                     )
                 seen[name] = category
         for category, weight in self.weights.items():
-            if weight < 0:
-                raise ValueError(f"category {category!r} has negative weight {weight}")
+            if not (math.isfinite(weight) and weight >= 0):
+                raise ValueError(
+                    f"category {category!r} needs a finite, non-negative weight, not {weight}"
+                )
 
     @property
     def universe(self) -> frozenset[str]:

@@ -18,12 +18,20 @@ from .ingest import BusinessRecord, ReviewRecord
 from .sentiment import CohortScores, CorpusStats, TopicProfile
 from .taxonomy import FeatureTaxonomy, RankEntry
 
-# Each stage in pipeline order, with the artifacts it writes. Recording a
+# Each stage in pipeline order, with the artifacts it writes. Beginning a
 # stage deletes the artifacts of every later stage.
 STAGES = {
     "ingest": ("businesses.jsonl", "reviews.jsonl", "ingest_summary.json"),
     "rank": ("taxonomy.cfg", "ranked.csv", "feature_frequency.csv"),
     "score": ("topics.tsv", "cohort_scores.csv", "corpus_stats.json"),
+}
+
+# The keys of each stage's manifest entry: its counts, and the settings
+# later stages read.
+ENTRY_KEYS = {
+    "ingest": {"businesses", "reviews", "tool_version"},
+    "rank": {"config_hash", "cutoff", "kept"},
+    "score": {"documents", "k", "lexicon_path", "lexicon_sha256"},
 }
 
 
@@ -82,45 +90,65 @@ class Workspace:
     # manifest and stages -----------------------------------------------
 
     def load_manifest(self) -> dict:
+        """The manifest, ``{"stages": {stage: entry}}``; a stage is complete
+        when it has an entry, which holds its counters and settings."""
         if not self.manifest_path.exists():
-            return {"tool_version": None, "config_hash": None, "cutoff": None,
-                    "k": None, "lexicon_path": None, "stages": {}}
-        return _read_json(self.manifest_path)
-
-    def save_manifest(self, manifest: dict) -> None:
-        _write_json(self.manifest_path, manifest)
-
-    def record_stage(self, stage: str, info: dict, manifest: dict | None = None) -> dict:
-        """Mark a stage complete, clearing later stages and their artifacts."""
-        if manifest is None:
-            manifest = self.load_manifest()
-        stages = manifest.setdefault("stages", {})
-        stages[stage] = info
-        order = list(STAGES)
-        for later in order[order.index(stage) + 1:]:
-            stages.pop(later, None)
-            for name in STAGES[later]:
-                (self.root / name).unlink(missing_ok=True)
-        self.save_manifest(manifest)
+            return {"stages": {}}
+        with _decoding(self.manifest_path):
+            manifest = _read_json(self.manifest_path)
+            stages = manifest["stages"]
+            done = list(STAGES)[:len(stages)]
+            if set(manifest) != {"stages"} or set(stages) != set(done) or any(
+                set(stages[stage]) != ENTRY_KEYS[stage] for stage in done
+            ):
+                raise ValueError("not the layout this version writes")
         return manifest
 
-    def require_stage(self, stage: str, manifest: dict | None = None) -> dict:
-        if manifest is None:
-            manifest = self.load_manifest()
-        if stage not in manifest.get("stages", {}):
+    def begin_stage(self, stage: str) -> None:
+        """Drop this stage's entry and every later one, then delete the later
+        stages' artifacts. Call it just before the stage's first write, so an
+        interrupted stage is never claimed by the manifest."""
+        order = list(STAGES)
+        position = order.index(stage)
+        # the first stage keeps nothing, so it also replaces a damaged manifest
+        stages = self.load_manifest()["stages"] if position else {}
+        kept = {name: entry for name, entry in stages.items() if name in order[:position]}
+        _write_json(self.manifest_path, {"stages": kept})
+        for later in order[position + 1:]:
+            for name in STAGES[later]:
+                (self.root / name).unlink(missing_ok=True)
+
+    def record_stage(self, stage: str, info: dict) -> None:
+        """Mark a stage complete once all its artifacts are written."""
+        manifest = self.load_manifest()
+        manifest["stages"][stage] = info
+        _write_json(self.manifest_path, manifest)
+
+    def require_stage(self, stage: str) -> dict:
+        """The entries of the completed stages, once ``stage`` and every
+        earlier stage are complete and their artifacts present."""
+        stages = self.load_manifest()["stages"]
+        if stage not in stages:
             raise StaleWorkspaceError(
                 f"workspace {self.root} has no completed {stage!r} stage; "
                 f"run the {stage} command first"
             )
-        return manifest
+        order = list(STAGES)
+        for earlier in order[:order.index(stage) + 1]:
+            for name in STAGES[earlier]:
+                if not (self.root / name).exists():
+                    raise StaleWorkspaceError(
+                        f"workspace {self.root} is missing {name}; re-run {earlier}"
+                    )
+        return stages
 
-    def verify_taxonomy_hash(self, manifest: dict) -> FeatureTaxonomy:
-        """Load the workspace taxonomy, checking it still matches the manifest."""
+    def verify_taxonomy_hash(self, expected_hash: str) -> FeatureTaxonomy:
+        """Load the workspace taxonomy, checking it still has ``expected_hash``."""
         if not self.taxonomy_path.exists():
             raise StaleWorkspaceError(f"workspace {self.root} has no taxonomy.cfg")
-        taxonomy = FeatureTaxonomy.load(self.taxonomy_path)
-        expected = manifest.get("config_hash")
-        if taxonomy.config_hash() != expected:
+        with _decoding(self.taxonomy_path):
+            taxonomy = FeatureTaxonomy.load(self.taxonomy_path)
+        if taxonomy.config_hash() != expected_hash:
             raise StaleWorkspaceError(
                 "taxonomy.cfg does not match the manifest config hash; "
                 "re-run the rank command"
@@ -134,22 +162,21 @@ class Workspace:
 
     def read_businesses(self) -> dict[str, BusinessRecord]:
         out: dict[str, BusinessRecord] = {}
-        for obj in _read_jsonl(self.businesses_path):
-            record = BusinessRecord.from_json_dict(obj)
-            out[record.business_id] = record
+        with _decoding(self.businesses_path):
+            for obj in _read_jsonl(self.businesses_path):
+                record = BusinessRecord.from_json_dict(obj)
+                out[record.business_id] = record
         return out
 
     def write_reviews(self, reviews: Iterable[ReviewRecord]) -> None:
         _write_jsonl(self.reviews_path, (r.to_json_dict() for r in reviews))
 
     def read_reviews(self) -> list[ReviewRecord]:
-        return [ReviewRecord.from_json_dict(obj) for obj in _read_jsonl(self.reviews_path)]
+        with _decoding(self.reviews_path):
+            return [ReviewRecord.from_json_dict(obj) for obj in _read_jsonl(self.reviews_path)]
 
     def write_ingest_summary(self, summary: dict) -> None:
         _write_json(self.ingest_summary_path, summary)
-
-    def read_ingest_summary(self) -> dict:
-        return _read_json(self.ingest_summary_path)
 
     # rank artifacts ----------------------------------------------------
 
@@ -165,19 +192,11 @@ class Workspace:
         )
 
     def read_ranked(self) -> list[RankEntry]:
-        entries = []
-        with open(self.ranked_path, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            next(reader, None)  # header
-            for row in reader:
-                entries.append(
-                    RankEntry(
-                        business_id=row[0],
-                        feature_count=int(row[1]),
-                        weighted_score=float(row[2]),
-                    )
-                )
-        return entries
+        with _decoding(self.ranked_path):
+            with open(self.ranked_path, "r", encoding="utf-8", newline="") as handle:
+                rows = csv.reader(handle)
+                next(rows, None)  # header
+                return [RankEntry(row[0], int(row[1]), float(row[2])) for row in rows]
 
     def write_frequency(self, counts: Mapping[str, int]) -> None:
         ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -212,8 +231,22 @@ class Workspace:
         _write_json(self.corpus_stats_path, {"n_docs": stats.n_docs, "df": stats.df})
 
     def read_corpus_stats(self) -> CorpusStats:
-        obj = _read_json(self.corpus_stats_path)
-        return CorpusStats(n_docs=obj["n_docs"], df=obj["df"])
+        with _decoding(self.corpus_stats_path):
+            obj = _read_json(self.corpus_stats_path)
+            return CorpusStats(n_docs=obj["n_docs"], df=obj["df"])
+
+
+@contextmanager
+def _decoding(path: Path):
+    """Report a damaged artifact as a stale workspace, naming the file and
+    the stage that rewrites it; ingest rewrites the manifest."""
+    try:
+        yield
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        stage = next((s for s, names in STAGES.items() if path.name in names), "ingest")
+        raise StaleWorkspaceError(
+            f"workspace {path.parent}: {path.name} is damaged ({exc}); re-run {stage}"
+        ) from exc
 
 
 def _create(path: Path):

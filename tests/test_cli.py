@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from ratingsift import Workspace
 from ratingsift.cli import main
 
 from conftest import (
@@ -45,16 +46,37 @@ def data_dir(tmp_path):
     return tmp_path
 
 
+# Every write of each stage, with the path property of the file it writes:
+# the stage's artifacts, and for rank also its two manifest writes.
+WRITES = [
+    ("ingest", "write_businesses", "businesses_path"),
+    ("ingest", "write_reviews", "reviews_path"),
+    ("ingest", "write_ingest_summary", "ingest_summary_path"),
+    ("rank", "begin_stage", "manifest_path"),
+    ("rank", "write_taxonomy", "taxonomy_path"),
+    ("rank", "write_ranked", "ranked_path"),
+    ("rank", "write_frequency", "frequency_path"),
+    ("rank", "record_stage", "manifest_path"),
+    ("score", "write_topics", "topics_path"),
+    ("score", "write_cohort_scores", "cohort_scores_path"),
+    ("score", "write_corpus_stats", "corpus_stats_path"),
+]
+
+
+def pipeline_steps(data_dir, lexicon_file, workspace):
+    """The argv of each command, in pipeline order."""
+    return {
+        "ingest": ["ingest", "--business", str(data_dir / "business.json"),
+                   "--reviews", str(data_dir / "review.json"), "--workspace", str(workspace)],
+        "rank": ["rank", "--workspace", str(workspace), "--cutoff", "0"],
+        "score": ["score", "--workspace", str(workspace), "--lexicon", str(lexicon_file),
+                  "--k", "10"],
+        "compare": ["compare", "--workspace", str(workspace), "--a", "ref_a", "--b", "ref_b"],
+    }
+
+
 def run_pipeline(data_dir, lexicon_file, workspace, through="compare"):
-    steps = [
-        ["ingest", "--business", str(data_dir / "business.json"),
-         "--reviews", str(data_dir / "review.json"), "--workspace", str(workspace)],
-        ["rank", "--workspace", str(workspace), "--cutoff", "0"],
-        ["score", "--workspace", str(workspace), "--lexicon", str(lexicon_file), "--k", "10"],
-        ["compare", "--workspace", str(workspace), "--a", "ref_a", "--b", "ref_b"],
-    ]
-    names = ["ingest", "rank", "score", "compare"]
-    for name, argv in zip(names, steps):
+    for name, argv in pipeline_steps(data_dir, lexicon_file, workspace).items():
         code = main(argv)
         assert code == 0, f"{name} exited {code}"
         if name == through:
@@ -123,6 +145,14 @@ class TestPipeline:
                      "--a", "ref_a", "--b", "ref_b"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["deficiency_b"] == pytest.approx(3.80)
+
+    def test_reingest_leaves_only_its_own_entry(self, data_dir, lexicon_file, tmp_path):
+        ws = tmp_path / "ws"
+        run_pipeline(data_dir, lexicon_file, ws, through="score")
+        run_pipeline(data_dir, lexicon_file, ws, through="ingest")
+        manifest = json.loads((ws / "manifest.json").read_text(encoding="utf-8"))
+        assert list(manifest) == ["stages"]
+        assert list(manifest["stages"]) == ["ingest"]
 
     def test_rank_cutoff_limits_cohort(self, data_dir, lexicon_file, tmp_path, capsys):
         ws = tmp_path / "ws"
@@ -258,6 +288,60 @@ class TestExitCodes:
         assert main(["compare", "--workspace", str(ws),
                      "--a", "ref_a", "--b", "ref_b"]) == 2
 
+    def test_edited_lexicon(self, data_dir, lexicon_file, tmp_path, capsys):
+        ws = tmp_path / "ws"
+        run_pipeline(data_dir, lexicon_file, ws, through="score")
+        text = lexicon_file.read_text(encoding="utf-8")
+        lexicon_file.write_text(text.replace("great\t3", "great\t2"), encoding="utf-8")
+        assert main(["compare", "--workspace", str(ws),
+                     "--a", "ref_a", "--b", "ref_b"]) == 2
+        assert str(lexicon_file) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage,command,named,rerun", [
+        (lambda ws: _truncate_last_row(ws / "ranked.csv"),
+         "score", "ranked.csv", "rank"),
+        (lambda ws: _drop_key(ws / "corpus_stats.json", "df"),
+         "compare", "corpus_stats.json", "score"),
+        (lambda ws: (ws / "corpus_stats.json").unlink(),
+         "compare", "corpus_stats.json", "score"),
+        (lambda ws: _write_older_manifest(ws / "manifest.json"),
+         "compare", "manifest.json", "ingest"),
+    ], ids=["short_ranked_row", "stats_without_df", "stats_deleted", "older_manifest"])
+    def test_damaged_workspace_names_the_file(
+        self, data_dir, lexicon_file, tmp_path, capsys, damage, command, named, rerun
+    ):
+        ws = tmp_path / "ws"
+        run_pipeline(data_dir, lexicon_file, ws, through="score")
+        damage(ws)
+        capsys.readouterr()
+        assert main(pipeline_steps(data_dir, lexicon_file, ws)[command]) == 2
+        err = capsys.readouterr().err
+        assert named in err and f"re-run {rerun}" in err
+
+    @pytest.mark.parametrize("stage,writer,path", WRITES,
+                             ids=[f"{stage}-{writer}" for stage, writer, _ in WRITES])
+    def test_interrupted_write_is_never_claimed(
+        self, data_dir, lexicon_file, tmp_path, monkeypatch, stage, writer, path
+    ):
+        ws = tmp_path / "ws"
+        run_pipeline(data_dir, lexicon_file, ws, through="score")
+        original = getattr(Workspace, writer)
+
+        def interrupted(self, *args):
+            # the write stops halfway through its file
+            original(self, *args)
+            target = getattr(self, path)
+            target.write_bytes(target.read_bytes()[:target.stat().st_size // 2])
+            raise KeyboardInterrupt
+
+        steps = pipeline_steps(data_dir, lexicon_file, ws)
+        monkeypatch.setattr(Workspace, writer, interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(steps[stage])
+        monkeypatch.undo()
+        later = list(steps)[list(steps).index(stage) + 1:]
+        assert {name: main(steps[name]) for name in later} == {name: 2 for name in later}
+
     def test_bad_flag_values(self, data_dir, lexicon_file, tmp_path):
         ws = tmp_path / "ws"
         run_pipeline(data_dir, lexicon_file, ws, through="ingest")
@@ -298,3 +382,34 @@ class TestDeterminism:
         first = capsys.readouterr().out
         assert main(["compare", "--workspace", str(ws), "--a", "ref_a", "--b", "ref_b"]) == 0
         assert capsys.readouterr().out == first
+
+
+def _truncate_last_row(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[-1] = lines[-1].split(",")[0]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _drop_key(path, key):
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    del obj[key]
+    path.write_text(json.dumps(obj), encoding="utf-8")
+
+
+def _write_older_manifest(path):
+    """Rewrite the manifest in the layout of earlier versions: settings at the
+    top level, and only counters in the stage entries."""
+    stages = json.loads(path.read_text(encoding="utf-8"))["stages"]
+    path.write_text(json.dumps({
+        "tool_version": stages["ingest"]["tool_version"],
+        "config_hash": stages["rank"]["config_hash"],
+        "cutoff": stages["rank"]["cutoff"],
+        "k": stages["score"]["k"],
+        "lexicon_path": stages["score"]["lexicon_path"],
+        "stages": {
+            "ingest": {"businesses": stages["ingest"]["businesses"],
+                       "reviews": stages["ingest"]["reviews"]},
+            "rank": {"kept": stages["rank"]["kept"]},
+            "score": {"documents": stages["score"]["documents"]},
+        },
+    }, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -71,10 +71,12 @@ class TestValidation:
                 weights={"x": 1.0, "y": 2.0},
             )
 
-    def test_negative_weight_rejected(self):
+    @pytest.mark.parametrize("weight", [-0.1, float("nan"), float("inf"), float("-inf")],
+                             ids=["-0.1", "nan", "inf", "-inf"])
+    def test_negative_weight_rejected(self, weight):
         with pytest.raises(ValueError):
             FeatureTaxonomy(
-                categories={"x": frozenset({"wifi"})}, weights={"x": -0.1},
+                categories={"x": frozenset({"wifi"})}, weights={"x": weight},
             )
 
     def test_non_lowercase_name_rejected(self):

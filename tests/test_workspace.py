@@ -1,5 +1,7 @@
 """Workspace artifacts, staleness tracking, and deterministic writers."""
 
+import json
+
 import pytest
 
 from ratingsift import (
@@ -22,6 +24,14 @@ STAGE_ARTIFACTS = [
     ("rank", ("taxonomy_path", "ranked_path", "frequency_path")),
     ("score", ("topics_path", "cohort_scores_path", "corpus_stats_path")),
 ]
+
+# A manifest entry of each stage, as the commands record them.
+ENTRIES = {
+    "ingest": {"businesses": 2, "reviews": 5, "tool_version": "0.0"},
+    "rank": {"config_hash": "c0ffee", "cutoff": 0, "kept": 2},
+    "score": {"documents": 3, "k": 10, "lexicon_path": "lexicon.txt",
+              "lexicon_sha256": "5eed"},
+}
 
 
 @pytest.fixture
@@ -55,40 +65,52 @@ class TestStages:
             ws.require_stage("ingest")
 
     def test_record_then_require(self, ws):
-        ws.record_stage("ingest", {"businesses": 3})
-        manifest = ws.require_stage("ingest")
-        assert manifest["stages"]["ingest"] == {"businesses": 3}
+        for path in STAGE_ARTIFACTS[0][1]:
+            getattr(ws, path).write_text("x", encoding="utf-8")
+        ws.begin_stage("ingest")
+        ws.record_stage("ingest", ENTRIES["ingest"])
+        assert ws.require_stage("ingest") == {"ingest": ENTRIES["ingest"]}
+
+    def test_require_stage_missing_artifact(self, ws):
+        ws.record_stage("ingest", ENTRIES["ingest"])
+        with pytest.raises(StaleWorkspaceError, match="businesses.jsonl"):
+            ws.require_stage("ingest")
 
     def test_recording_early_stage_clears_later_ones(self, ws):
-        ws.record_stage("ingest", {})
-        ws.record_stage("rank", {})
-        ws.record_stage("score", {})
-        ws.record_stage("ingest", {})
-        manifest = ws.load_manifest()
-        assert "rank" not in manifest["stages"]
-        assert "score" not in manifest["stages"]
+        for stage, entry in ENTRIES.items():
+            ws.record_stage(stage, entry)
+        ws.begin_stage("rank")
+        assert ws.load_manifest() == {"stages": {"ingest": ENTRIES["ingest"]}}
+        ws.begin_stage("ingest")
+        assert ws.load_manifest() == {"stages": {}}
+
+    def test_beginning_ingest_replaces_damaged_manifest(self, ws):
+        ws.manifest_path.write_text('{"stages": {"rank": {}}}', encoding="utf-8")
+        with pytest.raises(StaleWorkspaceError, match="manifest.json"):
+            ws.load_manifest()
+        ws.begin_stage("ingest")
+        assert ws.load_manifest() == {"stages": {}}
 
     def test_recording_clears_downstream_artifacts(self, ws):
         ws.write_ranked([RankEntry("b1", 2, 1.4)])
         ws.write_corpus_stats(CorpusStats(n_docs=1, df={"pasta": 1}))
-        ws.record_stage("ingest", {})
+        ws.begin_stage("ingest")
         assert not ws.ranked_path.exists()
         assert not ws.corpus_stats_path.exists()
 
     def test_rank_rerun_clears_score_artifacts_only(self, ws):
         ws.write_businesses([make_business("b1", {"wifi"})])
         ws.write_corpus_stats(CorpusStats(n_docs=1, df={}))
-        ws.record_stage("rank", {})
+        ws.begin_stage("rank")
         assert ws.businesses_path.exists()
         assert not ws.corpus_stats_path.exists()
-
 
     @pytest.mark.parametrize("stage", [stage for stage, _ in STAGE_ARTIFACTS])
     def test_recording_deletes_only_later_stages_artifacts(self, ws, stage):
         for _, paths in STAGE_ARTIFACTS:
             for path in paths:
                 getattr(ws, path).write_text("x", encoding="utf-8")
-        ws.record_stage(stage, {})
+        ws.begin_stage(stage)
         position = [name for name, _ in STAGE_ARTIFACTS].index(stage)
         for index, (_, paths) in enumerate(STAGE_ARTIFACTS):
             for path in paths:
@@ -99,24 +121,22 @@ class TestStages:
 class TestTaxonomyHash:
     def test_matching_hash_passes(self, ws):
         ws.write_taxonomy(DEFAULT_TAXONOMY)
-        manifest = {"config_hash": DEFAULT_TAXONOMY.config_hash()}
-        loaded = ws.verify_taxonomy_hash(manifest)
+        loaded = ws.verify_taxonomy_hash(DEFAULT_TAXONOMY.config_hash())
         assert isinstance(loaded, FeatureTaxonomy)
 
     def test_edited_file_detected(self, ws):
         ws.write_taxonomy(DEFAULT_TAXONOMY)
-        manifest = {"config_hash": DEFAULT_TAXONOMY.config_hash()}
         text = ws.taxonomy_path.read_text(encoding="utf-8")
         ws.taxonomy_path.write_text(
             text.replace("weight = 0.700000", "weight = 0.710000"),
             encoding="utf-8",
         )
         with pytest.raises(StaleWorkspaceError):
-            ws.verify_taxonomy_hash(manifest)
+            ws.verify_taxonomy_hash(DEFAULT_TAXONOMY.config_hash())
 
     def test_missing_file_detected(self, ws):
         with pytest.raises(StaleWorkspaceError):
-            ws.verify_taxonomy_hash({"config_hash": "whatever"})
+            ws.verify_taxonomy_hash("whatever")
 
 
 class TestRoundTrips:
@@ -146,7 +166,8 @@ class TestRoundTrips:
 
     def test_ingest_summary(self, ws):
         ws.write_ingest_summary({"businesses": {"parsed": 2}})
-        assert ws.read_ingest_summary() == {"businesses": {"parsed": 2}}
+        text = ws.ingest_summary_path.read_text(encoding="utf-8")
+        assert json.loads(text) == {"businesses": {"parsed": 2}}
 
 
 class TestDeterministicWriters:
@@ -179,8 +200,8 @@ class TestDeterministicWriters:
         assert b"\r" not in ws.ranked_path.read_bytes()
 
     def test_no_timestamps_in_manifest(self, ws):
-        ws.record_stage("ingest", {"businesses": 1})
+        ws.record_stage("ingest", ENTRIES["ingest"])
         text = ws.manifest_path.read_text(encoding="utf-8")
         again = Workspace(ws.root)
-        again.record_stage("ingest", {"businesses": 1})
+        again.record_stage("ingest", ENTRIES["ingest"])
         assert ws.manifest_path.read_text(encoding="utf-8") == text
