@@ -10,6 +10,7 @@ changed since score.
 import argparse
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -166,7 +167,8 @@ def cmd_score(args) -> int:
         workspace.record_stage("score", {
             "documents": len(documents),
             "k": args.k,
-            "lexicon_path": str(args.lexicon),
+            # Absolute, so compare finds the lexicon from any directory.
+            "lexicon_path": os.path.abspath(args.lexicon),
             "lexicon_sha256": lexicon_sha256,
         })
     lines = [f"scored {len(documents)} star documents over {len(cohort_ids)} restaurants"]

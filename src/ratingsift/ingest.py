@@ -10,13 +10,17 @@ Attribute values arrive as strings in Python-literal style, e.g. "True",
 leaf is True/False/None, a decimal integer or a quoted string without
 backslashes (optional u prefix); a map is braces around ``key: leaf``
 entries with quoted or bare keys. Any other Python literal syntax is an
-opaque string token, counted as a fallback.
+opaque string token, counted as a fallback. Raw values repeat heavily, so
+each business parse keeps a cache of at most 4096 flattened values, which
+bounds its memory; the counters stay exact because cached counts are added
+on every use.
 """
 
+import functools
 import json
 import re
 from dataclasses import asdict, dataclass
-from typing import IO, Iterable, Iterator, Union
+from typing import IO, Callable, Iterable, Iterator, Union
 
 from .taxonomy import DEFAULT_TAXONOMY
 
@@ -33,6 +37,13 @@ VALID_BUSINESS_STARS = frozenset({1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0})
 
 # The built-in feature names; flattening keeps only these.
 _UNIVERSE = DEFAULT_TAXONOMY.universe
+
+# Distinct (attribute name, raw value) pairs each business parse keeps
+# flattened. Listings repeat a few hundred values many times over.
+_FLATTEN_CACHE_SIZE = 4096
+
+# One flattened attribute: present feature names, fallbacks, unknown names.
+_Flattened = tuple[tuple[str, ...], int, int]
 
 # _ENTRY_RE reads one map entry and the comma or closing brace after it; a
 # bare key starting like a number (0x10, 1e5) is a number to Python.
@@ -211,11 +222,33 @@ def flatten_features(
     record: BusinessRecord, counters: BusinessCounters | None = None
 ) -> frozenset[str]:
     """Flatten a record's raw attributes into canonical feature names."""
-    return _flatten_raw(record.raw_attributes, counters)
+    return _flatten_raw(record.raw_attributes, counters, _flatten_attribute)
+
+
+def _flatten_attribute(attr_name: str, raw: str) -> _Flattened:
+    """Flatten one raw attribute value.
+
+    Returns the present feature names, the fallback count and the count of
+    names outside the built-in features. Pure, and the result is immutable,
+    so a cache may hand the same result to every caller.
+    """
+    counts = BusinessCounters()
+    value = parse_attribute_value(raw, counts)
+    leaves = value.items() if isinstance(value, dict) else ((attr_name, value),)
+    present = []
+    for name, leaf in leaves:
+        key = name.lower()
+        if key not in _UNIVERSE:
+            counts.unknown_feature_names += 1
+        elif normalize_flag(leaf, key):
+            present.append(key)
+    return tuple(present), counts.attribute_fallbacks, counts.unknown_feature_names
 
 
 def _flatten_raw(
-    raw_attributes: dict[str, str], counters: BusinessCounters | None
+    raw_attributes: dict[str, str],
+    counters: BusinessCounters | None,
+    flatten_attribute: Callable[[str, str], _Flattened],
 ) -> frozenset[str]:
     """Core of flatten_features, working on the raw attribute map.
 
@@ -223,20 +256,17 @@ def _flatten_raw(
     attributes (BusinessParking, GoodForMeal, Ambience) contribute the inner
     keys whose value normalizes to present. Names outside the built-in
     features are ignored and counted; the map containers themselves are
-    structural and never counted.
+    structural and never counted. ``flatten_attribute`` is
+    ``_flatten_attribute`` or a cache of it; the counts are added on every
+    call, so they stay exact either way.
     """
     features: set[str] = set()
     for attr_name, raw in raw_attributes.items():
-        value = parse_attribute_value(raw, counters)
-        leaves = value.items() if isinstance(value, dict) else ((attr_name, value),)
-        for name, leaf in leaves:
-            key = name.lower()
-            if key not in _UNIVERSE:
-                if counters is not None:
-                    counters.unknown_feature_names += 1
-                continue
-            if normalize_flag(leaf, key):
-                features.add(key)
+        present, fallbacks, unknown = flatten_attribute(attr_name, raw)
+        features.update(present)
+        if counters is not None:
+            counters.attribute_fallbacks += fallbacks
+            counters.unknown_feature_names += unknown
     return frozenset(features)
 
 
@@ -287,7 +317,9 @@ def _is_restaurant(categories) -> bool:
     return any(name.strip().lower() == "restaurants" for name in names)
 
 
-def _build_business(obj: dict, counters: BusinessCounters | None) -> BusinessRecord | None:
+def _build_business(
+    obj: dict, counters: BusinessCounters, flatten_attribute: Callable[[str, str], _Flattened]
+) -> BusinessRecord | None:
     """Build a record from one decoded JSON object; None when malformed."""
     business_id = obj.get("business_id")
     if not isinstance(business_id, str) or not business_id:
@@ -314,7 +346,7 @@ def _build_business(obj: dict, counters: BusinessCounters | None) -> BusinessRec
         overall_stars=float(stars),
         review_count=review_count,
         raw_attributes=raw_attributes,
-        features=_flatten_raw(raw_attributes, counters),
+        features=_flatten_raw(raw_attributes, counters, flatten_attribute),
         is_restaurant=_is_restaurant(obj.get("categories")),
     )
 
@@ -339,8 +371,10 @@ def parse_businesses(
     """
     if counters is None:
         counters = BusinessCounters()
+    # One cache per parse: bounded, and gone when the parse ends.
+    flatten_attribute = functools.lru_cache(maxsize=_FLATTEN_CACHE_SIZE)(_flatten_attribute)
     for obj in _iter_objects(stream, counters):
-        record = _build_business(obj, counters)
+        record = _build_business(obj, counters, flatten_attribute)
         if record is None:
             counters.skipped_malformed += 1
             continue

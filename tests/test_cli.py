@@ -154,6 +154,19 @@ class TestPipeline:
         assert list(manifest) == ["stages"]
         assert list(manifest["stages"]) == ["ingest"]
 
+    def test_relative_lexicon_resolves_from_any_directory(
+        self, data_dir, lexicon_file, tmp_path, monkeypatch
+    ):
+        ws = tmp_path / "ws"
+        run_pipeline(data_dir, lexicon_file, ws, through="rank")
+        monkeypatch.chdir(lexicon_file.parent)
+        assert main(["score", "--workspace", str(ws), "--lexicon", lexicon_file.name,
+                     "--k", "10"]) == 0
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert main(["compare", "--workspace", str(ws), "--a", "ref_a", "--b", "ref_b"]) == 0
+
     def test_rank_cutoff_limits_cohort(self, data_dir, lexicon_file, tmp_path, capsys):
         ws = tmp_path / "ws"
         run_pipeline(data_dir, lexicon_file, ws, through="ingest")

@@ -20,6 +20,7 @@ from ratingsift import (
     parse_businesses,
     parse_reviews,
 )
+from ratingsift import ingest
 from ratingsift.ingest import BusinessRecord, ReviewRecord
 
 from conftest import (
@@ -290,6 +291,61 @@ class TestParseBusinesses:
         assert total == non_blank
 
 
+class TestFlattenCache:
+    """Each business parse flattens a distinct attribute value once."""
+
+    def _count_parses(self, monkeypatch):
+        calls = []
+        real = ingest.parse_attribute_value
+
+        def counting(raw, counters=None):
+            calls.append(raw)
+            return real(raw, counters)
+
+        monkeypatch.setattr(ingest, "parse_attribute_value", counting)
+        return calls
+
+    def test_repeated_values_parsed_once_per_parse(self, monkeypatch):
+        calls = self._count_parses(monkeypatch)
+        attrs = {"Caters": "definitely", "DogsAllowed": "True", "HasTV": "True"}
+        lines = [business_line(f"b{i}", attributes=attrs) for i in range(5)]
+        passes = []
+        for _ in range(2):
+            counters = BusinessCounters()
+            records = list(parse_businesses(lines, counters=counters))
+            passes.append((counters, len(calls)))
+            calls.clear()
+            assert [r.features for r in records] == [{"hastv"}] * 5
+        # No cache outlives a parse: the second pass parses and counts again.
+        assert passes[0] == passes[1]
+        counters, parses = passes[0]
+        assert parses == 3
+        assert (counters.attribute_fallbacks, counters.unknown_feature_names) == (5, 5)
+
+    def test_counters_exact_past_cache_size(self):
+        n = ingest._FLATTEN_CACHE_SIZE + 200
+
+        def line(i):
+            return business_line(f"b{i}", attributes={
+                "Ambience": f"{{'classy': True, 'extra{i}': True}}",
+                "HasTV": f"maybe{i}",  # a fallback, so absent
+            })
+        # The first values come back after the cache has evicted them.
+        lines = [line(i) for i in range(n)] + [line(i) for i in range(100)]
+        counters = BusinessCounters()
+        records = list(parse_businesses(lines, counters=counters))
+        assert all(r.features == {"classy"} for r in records)
+        assert counters.attribute_fallbacks == len(lines)
+        assert counters.unknown_feature_names == len(lines)
+
+    def test_parsed_map_is_fresh_each_call(self):
+        raw = "{'lot': True, 'garage': False}"
+        first = parse_attribute_value(raw)
+        first["lot"] = False
+        first["valet"] = True
+        assert parse_attribute_value(raw) == {"lot": True, "garage": False}
+
+
 class TestParseReviews:
     def test_parses_and_filters_unknown_business(self):
         lines = [
@@ -491,3 +547,28 @@ def test_review_counter_exactness_property(lines):
         + counters.skipped_bad_stars
     )
     assert total == non_blank
+
+
+# A small pool of raw values, so that businesses repeat them often; it holds
+# leaves, maps, unknown names and fallbacks.
+_ATTRIBUTE_NAMES = ("HasTV", "WiFi", "Alcohol", "RestaurantsPriceRange2",
+                    "DogsAllowed", "BusinessParking", "Ambience")
+_RAW_POOL = ("True", "False", "None", "1", "2", "u'free'", "u'no'", "'none'",
+             "definitely", "{'lot': True, 'divey': True}",
+             "{'garage': False, 'street': True}", "{'classy': True", "[1, 2]")
+
+
+@given(st.lists(
+    st.dictionaries(st.sampled_from(_ATTRIBUTE_NAMES), st.sampled_from(_RAW_POOL), max_size=5),
+    max_size=12,
+))
+@settings(max_examples=100, deadline=None)
+def test_cached_flatten_matches_uncached(attribute_maps):
+    lines = [business_line(f"b{i}", attributes=attrs) for i, attrs in enumerate(attribute_maps)]
+    counters = BusinessCounters()
+    records = list(parse_businesses(lines, counters=counters))
+    per_record = BusinessCounters()  # summed over the records by the uncached path
+    for record in records:
+        assert record.features == flatten_features(record, per_record)
+    assert counters.attribute_fallbacks == per_record.attribute_fallbacks
+    assert counters.unknown_feature_names == per_record.unknown_feature_names
