@@ -11,6 +11,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import asdict, dataclass
+from operator import mul, neg
 from typing import Iterable, Mapping, Sequence
 
 from .ingest import ReviewRecord
@@ -59,10 +60,34 @@ def build_star_documents(
         if bucket is None:
             bucket = buckets[key] = Counter()
         bucket.update(tokenize(review.text))
+    # Popping frees each Counter as soon as its copy is made.
     return [
-        StarDocument(business_id=bid, stars=stars, term_counts=dict(buckets[(bid, stars)]))
+        StarDocument(business_id=bid, stars=stars, term_counts=dict(buckets.pop((bid, stars))))
         for bid, stars in sorted(buckets)
     ]
+
+
+class _Idf(dict):
+    """term -> ln(N / df), computed and kept on first lookup; 0.0 for a term
+    with no df, which is not kept.
+
+    Lazy, because compare loads the df of the whole cohort to score two
+    businesses' documents.
+    """
+
+    __slots__ = ("n_docs", "df")
+
+    def __init__(self, n_docs: int, df: Mapping[str, int]):
+        self.n_docs = n_docs
+        self.df = df
+
+    def __missing__(self, term: str) -> float:
+        df = self.df.get(term)
+        if df is None:
+            # Not stored, so terms from outside the corpus never grow the table.
+            return 0.0
+        idf = self[term] = math.log(self.n_docs / df)
+        return idf
 
 
 class CorpusStats:
@@ -71,31 +96,33 @@ class CorpusStats:
     Computed once, then shared read-only: every scoring path (cohort tables,
     pairwise comparisons, documents outside the corpus) uses the same N and
     df so results stay reproducible. A term the corpus has never seen gets
-    weight zero rather than an unbounded idf.
+    weight zero rather than an unbounded idf. Every df lies in 1..N, so no
+    idf is negative.
     """
 
     def __init__(self, n_docs: int, df: Mapping[str, int]):
-        if n_docs < 1:
-            raise ValueError("corpus must contain at least one document")
-        self.n_docs = n_docs
+        if type(n_docs) is not int or n_docs < 1:
+            raise ValueError("a corpus needs an integer count of at least one document")
         self.df = dict(df)
+        counts = self.df.values()
+        if counts and (
+            set(map(type, counts)) != {int} or min(counts) < 1 or max(counts) > n_docs
+        ):
+            raise ValueError(f"every document frequency must be an integer in 1..{n_docs}")
+        self.n_docs = n_docs
+        self._idf = _Idf(n_docs, self.df)
 
     @classmethod
     def from_documents(cls, documents: Sequence[StarDocument]) -> "CorpusStats":
         df: Counter = Counter()
         for doc in documents:
-            for term, count in doc.term_counts.items():
-                if count > 0:
-                    df[term] += 1
-        return cls(n_docs=len(documents), df=dict(df))
+            df.update([term for term, count in doc.term_counts.items() if count > 0])
+        return cls(n_docs=len(documents), df=df)
 
     def weight(self, term: str, count: int) -> float:
         if count <= 0:
             return 0.0
-        df = self.df.get(term, 0)
-        if df == 0:
-            return 0.0
-        return count * math.log(self.n_docs / df)
+        return count * self._idf[term]
 
     def tfidf(self, term: str, doc: StarDocument) -> float:
         return self.weight(term, doc.term_counts.get(term, 0))
@@ -130,13 +157,12 @@ def top_terms(
     if k < 1:
         raise ValueError("k must be at least 1")
     stats = corpus if isinstance(corpus, CorpusStats) else CorpusStats.from_documents(corpus)
-    weighted = [
-        (term, stats.weight(term, count))
-        for term, count in doc.term_counts.items()
-    ]
-    positive = [(term, weight) for term, weight in weighted if weight > 0.0]
-    positive.sort(key=lambda tw: (-tw[1], tw[0]))
-    return positive[:k]
+    counts = doc.term_counts
+    negated = map(neg, map(mul, counts.values(), map(stats._idf.__getitem__, counts)))
+    # Plain tuples sort by negated weight, then term, with no key function.
+    # No idf is negative, so a count <= 0 weighs <= 0 and is dropped here.
+    ranked = sorted(zip(negated, counts))[:k]
+    return [(term, -minus_w) for minus_w, term in ranked if minus_w < 0.0]
 
 
 @dataclass
@@ -207,7 +233,7 @@ class SentimentLexicon:
 
 def sentiment_score(terms: Iterable[str], lexicon: SentimentLexicon) -> int:
     """Sum of lexicon valences over the distinct terms; unknown terms add 0."""
-    return sum(lexicon.valence(term) for term in set(terms))
+    return sum(map(lexicon.valence, set(terms)))
 
 
 @dataclass(frozen=True)

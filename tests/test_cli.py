@@ -1,6 +1,10 @@
 """Command line pipeline behavior and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -319,7 +323,12 @@ class TestExitCodes:
          "compare", "corpus_stats.json", "score"),
         (lambda ws: _write_older_manifest(ws / "manifest.json"),
          "compare", "manifest.json", "ingest"),
-    ], ids=["short_ranked_row", "stats_without_df", "stats_deleted", "older_manifest"])
+        (lambda ws: _set_df(ws / "corpus_stats.json", lambda n_docs: -3),
+         "compare", "corpus_stats.json", "score"),
+        (lambda ws: _set_df(ws / "corpus_stats.json", lambda n_docs: 2 * n_docs),
+         "compare", "corpus_stats.json", "score"),
+    ], ids=["short_ranked_row", "stats_without_df", "stats_deleted", "older_manifest",
+            "stats_df_negative", "stats_df_over_n_docs"])
     def test_damaged_workspace_names_the_file(
         self, data_dir, lexicon_file, tmp_path, capsys, damage, command, named, rerun
     ):
@@ -396,6 +405,28 @@ class TestDeterminism:
         assert main(["compare", "--workspace", str(ws), "--a", "ref_a", "--b", "ref_b"]) == 0
         assert capsys.readouterr().out == first
 
+    def test_artifacts_identical_across_hash_seeds(self, data_dir, lexicon_file, tmp_path):
+        # Each run is its own interpreter, so a set or dict order that
+        # depends on string hashing would show up as a changed byte.
+        src = Path(__file__).resolve().parent.parent / "src"
+        runs = []
+        for seed in ("0", "1"):
+            ws = tmp_path / f"ws{seed}"
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+            stdout = []
+            for argv in pipeline_steps(data_dir, lexicon_file, ws).values():
+                result = subprocess.run(
+                    [sys.executable, "-m", "ratingsift.cli", *argv],
+                    env=env, capture_output=True, text=True, timeout=60,
+                )
+                assert result.returncode == 0, result.stderr
+                stdout.append(result.stdout)
+            artifacts = {
+                p.name: p.read_bytes() for p in sorted(ws.iterdir()) if p.is_file()
+            }
+            runs.append((artifacts, stdout))
+        assert runs[0] == runs[1]
+
 
 def _truncate_last_row(path):
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -406,6 +437,13 @@ def _truncate_last_row(path):
 def _drop_key(path, key):
     obj = json.loads(path.read_text(encoding="utf-8"))
     del obj[key]
+    path.write_text(json.dumps(obj), encoding="utf-8")
+
+
+def _set_df(path, df_of):
+    """Give the first term of corpus_stats.json the df ``df_of(n_docs)``."""
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    obj["df"][next(iter(obj["df"]))] = df_of(obj["n_docs"])
     path.write_text(json.dumps(obj), encoding="utf-8")
 
 

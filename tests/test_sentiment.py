@@ -141,6 +141,31 @@ class TestTfidf:
         with pytest.raises(ValueError):
             CorpusStats(n_docs=0, df={})
 
+    @pytest.mark.parametrize("n_docs,df", [
+        (3, {"pasta": -3}),
+        (3, {"pasta": 0}),
+        (3, {"pasta": 6}),
+        (3, {"pasta": 1, "wine": 4}),
+        (3, {"pasta": 1.0}),
+        (3, {"pasta": True}),
+        (3, {"pasta": "2"}),
+        (3.0, {"pasta": 1}),
+        (True, {}),
+    ], ids=["negative", "zero", "twice_n_docs", "one_over", "float", "bool", "str",
+            "float_n_docs", "bool_n_docs"])
+    def test_out_of_range_counts_rejected(self, n_docs, df):
+        with pytest.raises(ValueError):
+            CorpusStats(n_docs=n_docs, df=df)
+
+    def test_unknown_terms_leave_the_idf_table_unchanged(self):
+        stats = CorpusStats(n_docs=3, df={"pasta": 1})
+        outside = StarDocument(business_id="b9", stars=1, term_counts={"sushi": 2, "ramen": 1})
+        assert stats.weight("sushi", 2) == 0.0
+        assert top_terms(outside, stats, k=5) == []
+        assert len(stats._idf) == 0
+        assert stats.weight("pasta", 1) == pytest.approx(math.log(3))
+        assert dict(stats._idf) == {"pasta": pytest.approx(math.log(3))}
+
 
 class TestTopTerms:
     def test_orders_by_weight_then_term(self):
@@ -285,6 +310,49 @@ class TestProfilesAndCohorts:
         scores = cohort_scores(profiles)
         assert set(scores.combined) == {1, 5}
         assert 3 not in scores.average
+
+
+def reference_top_terms(doc, stats, k):
+    """``top_terms`` before its tuple sort: per-term weights, a keyed sort."""
+    def weight(term, count):
+        if count <= 0:
+            return 0.0
+        df = stats.df.get(term, 0)
+        if df == 0:
+            return 0.0
+        return count * math.log(stats.n_docs / df)
+
+    weighted = [(term, weight(term, count)) for term, count in doc.term_counts.items()]
+    positive = [(term, w) for term, w in weighted if w > 0.0]
+    positive.sort(key=lambda tw: (-tw[1], tw[0]))
+    return positive[:k]
+
+
+@st.composite
+def tied_corpora(draw):
+    """Few terms, few count values and few documents, so many weights tie;
+    counts include 0 and negatives. The scored document is one of the corpus
+    or one outside it, whose terms may have no df."""
+    vocab = [f"t{i}" for i in range(draw(st.integers(1, 12)))]
+    counts = st.dictionaries(st.sampled_from(vocab), st.integers(min_value=-2, max_value=3),
+                             max_size=len(vocab))
+    documents = [
+        StarDocument(business_id=f"b{i}", stars=1, term_counts=draw(counts))
+        for i in range(draw(st.integers(1, 4)))
+    ]
+    outside = StarDocument(business_id="b9", stars=1, term_counts=draw(counts))
+    return documents, draw(st.sampled_from(documents + [outside]))
+
+
+@given(tied_corpora(), st.integers(min_value=1, max_value=14))
+@settings(max_examples=200, deadline=None)
+def test_top_terms_matches_keyed_sort_reference(corpus, k):
+    documents, target = corpus
+    stats = CorpusStats.from_documents(documents)
+    expected = reference_top_terms(target, stats, k)
+    assert top_terms(target, stats, k) == expected
+    # the same stats again, now with every idf it needs already computed
+    assert top_terms(target, stats, k) == expected
 
 
 @st.composite
