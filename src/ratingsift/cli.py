@@ -36,15 +36,8 @@ DEFAULT_CUTOFF = 500
 DEFAULT_TOPIC_COUNT = 50
 
 
-class _Parser(argparse.ArgumentParser):
-    # Flag mistakes are input errors (exit 1), not stale-workspace errors.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit(f"{self.prog}: error: {message}")
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="ratingsift",
         description="Rank restaurants by listed features and compare "
         "review-text sentiment across star levels.",
@@ -89,6 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_ingest(args) -> int:
     workspace = Workspace(args.workspace)
+    # The only command that creates a workspace; the others need ingest's.
+    workspace.root.mkdir(parents=True, exist_ok=True)
     with workspace.lock():
         businesses, business_counters = load_businesses(args.business)
         reviews, review_counters = load_reviews(
@@ -235,11 +230,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        if exc.code in (0, None):
-            return 0
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-        return 1
+        # Flag mistakes are input errors (exit 1), not stale-workspace errors.
+        return 0 if exc.code in (0, None) else 1
     try:
         return _COMMANDS[args.command](args)
     except StaleWorkspaceError as exc:

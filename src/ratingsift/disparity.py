@@ -60,11 +60,7 @@ def sentiment_delta(
     A star level with no profile contributes 0. The delta map always covers
     stars 1..5; net is its sum.
     """
-    return _delta(_score_map(profiles_a), _score_map(profiles_b))
-
-
-def _delta(score_a: dict[int, int], score_b: dict[int, int]) -> tuple[dict[int, int], int]:
-    """sentiment_delta over already-normalized score maps."""
+    score_a, score_b = _score_map(profiles_a), _score_map(profiles_b)
     delta = {s: score_a.get(s, 0) - score_b.get(s, 0) for s in STAR_LEVELS}
     return delta, sum(delta.values())
 
@@ -103,26 +99,24 @@ class DisparityReport:
     verdict: str
 
     def to_json_dict(self) -> dict:
-        """JSON-ready dict with exactly the report's fields, sets sorted."""
+        """JSON-ready dict with exactly the report's fields, in field order;
+        sets sorted, star maps keyed by strings in star order."""
         return {
-            "id_a": self.id_a,
-            "id_b": self.id_b,
-            "stars_a": self.stars_a,
-            "stars_b": self.stars_b,
+            **vars(self),
             "common": sorted(self.common),
             "missing_a": sorted(self.missing_a),
             "missing_b": sorted(self.missing_b),
-            "deficiency_a": self.deficiency_a,
-            "deficiency_b": self.deficiency_b,
-            "sentiment_a": {str(s): v for s, v in sorted(self.sentiment_a.items())},
-            "sentiment_b": {str(s): v for s, v in sorted(self.sentiment_b.items())},
-            "delta": {str(s): v for s, v in sorted(self.delta.items())},
-            "net": self.net,
-            "verdict": self.verdict,
+            "sentiment_a": _string_keys(self.sentiment_a),
+            "sentiment_b": _string_keys(self.sentiment_b),
+            "delta": _string_keys(self.delta),
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
+
+
+def _string_keys(by_star: dict[int, int]) -> dict[str, int]:
+    return {str(s): v for s, v in sorted(by_star.items())}
 
 
 def build_disparity_report(
@@ -136,7 +130,7 @@ def build_disparity_report(
     common, missing_a, missing_b = compare_features(a, b)
     score_a = _score_map(profiles_a)
     score_b = _score_map(profiles_b)
-    delta, net = _delta(score_a, score_b)
+    delta, net = sentiment_delta(score_a, score_b)
     deficiency_a = weighted_deficiency(missing_a, taxonomy)
     deficiency_b = weighted_deficiency(missing_b, taxonomy)
     return DisparityReport(

@@ -83,12 +83,15 @@ class BusinessCounters:
 
 @dataclass
 class ReviewCounters:
-    """Line accounting for a review parse pass; same exactness contract."""
+    """Line accounting for a review parse pass; same exactness contract.
+    As for businesses, ``skipped_duplicate_id`` is only touched by
+    ``load_reviews``."""
 
     parsed: int = 0
     skipped_malformed: int = 0
     skipped_unknown_business: int = 0
     skipped_bad_stars: int = 0
+    skipped_duplicate_id: int = 0
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -460,11 +463,23 @@ def load_reviews(
     path,
     known_business_ids: Iterable[str],
 ) -> tuple[list[ReviewRecord], ReviewCounters]:
-    """Parse a review file into a list, dropping reviews for unknown ids."""
+    """Parse a review file into a list, dropping reviews for unknown ids.
+
+    Enforces review_id uniqueness as ``load_businesses`` does for business
+    ids: the first occurrence wins and later duplicates are counted in
+    ``skipped_duplicate_id`` (and remain counted as parsed).
+    """
     counters = ReviewCounters()
+    reviews: list[ReviewRecord] = []
+    seen: set[str] = set()
     try:
         with open(path, "rb") as handle:
-            reviews = list(parse_reviews(handle, known_business_ids, counters))
+            for review in parse_reviews(handle, known_business_ids, counters):
+                if review.review_id in seen:
+                    counters.skipped_duplicate_id += 1
+                    continue
+                seen.add(review.review_id)
+                reviews.append(review)
     except OSError as exc:
         raise IngestError(f"cannot read review file {path}: {exc}") from exc
     return reviews, counters

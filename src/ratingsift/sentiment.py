@@ -205,7 +205,8 @@ class SentimentLexicon:
         if counters is None:
             counters = LexiconCounters()
         entries: dict[str, int] = {}
-        with open(path, "r", encoding="utf-8") as handle:
+        # utf-8-sig: a byte-order mark would otherwise stick to the first term
+        with open(path, "r", encoding="utf-8-sig") as handle:
             for line in handle:
                 line = line.rstrip("\n")
                 if not line.strip():

@@ -55,20 +55,19 @@ class FeatureTaxonomy:
                 raise ValueError(
                     f"category {category!r} needs a finite, non-negative weight, not {weight}"
                 )
+        # The one feature -> category table; universe and lookups read it.
+        object.__setattr__(self, "_category", seen)
 
     @property
     def universe(self) -> frozenset[str]:
         """All feature names across every category."""
-        out: set[str] = set()
-        for names in self.categories.values():
-            out |= names
-        return frozenset(out)
+        return frozenset(self._category)
 
     def category_of(self, name: str) -> str:
-        for category, names in self.categories.items():
-            if name in names:
-                return category
-        raise UnknownFeatureError(f"unknown feature name: {name!r}")
+        try:
+            return self._category[name]
+        except KeyError:
+            raise UnknownFeatureError(f"unknown feature name: {name!r}") from None
 
     def weight_of(self, name: str) -> float:
         return self.weights[self.category_of(name)]
@@ -96,7 +95,8 @@ class FeatureTaxonomy:
 
     @classmethod
     def load(cls, path) -> "FeatureTaxonomy":
-        with open(path, "r", encoding="utf-8") as handle:
+        # utf-8-sig: a byte-order mark would otherwise hide the first section
+        with open(path, "r", encoding="utf-8-sig") as handle:
             return cls.loads(handle.read())
 
     def dumps(self) -> str:

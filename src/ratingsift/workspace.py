@@ -72,14 +72,18 @@ class Workspace:
 
     @contextmanager
     def lock(self):
-        """Advisory per-workspace lock; one command at a time."""
-        self.root.mkdir(parents=True, exist_ok=True)
+        """Advisory per-workspace lock; one command at a time. The workspace
+        directory must exist: locking never creates it."""
         try:
             fd = os.open(self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
             raise WorkspaceLockedError(
                 f"workspace {self.root} is locked by another command "
                 f"(remove {self.lock_path} if that command crashed)"
+            ) from None
+        except FileNotFoundError:
+            raise StaleWorkspaceError(
+                f"workspace {self.root} does not exist; run ingest first"
             ) from None
         os.close(fd)
         try:

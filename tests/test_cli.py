@@ -1,6 +1,7 @@
 """Command line pipeline behavior and exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -171,6 +172,22 @@ class TestPipeline:
         monkeypatch.chdir(elsewhere)
         assert main(["compare", "--workspace", str(ws), "--a", "ref_a", "--b", "ref_b"]) == 0
 
+    def test_duplicate_review_counted_once(self, data_dir, lexicon_file, tmp_path, capsys):
+        line = review_line("r-dup", "ref_a", 3, "zucchini")
+        with open(data_dir / "review.json", "a", encoding="utf-8") as handle:
+            handle.write(line + "\n" + line + "\n")
+        ws = tmp_path / "ws"
+        run_pipeline(data_dir, lexicon_file, ws, through="ingest")
+        reviews = json.loads(capsys.readouterr().out)["reviews"]
+        assert (reviews["parsed"], reviews["skipped_duplicate_id"]) == (26, 1)
+        run_pipeline(data_dir, lexicon_file, ws, through="score")
+        n_docs = json.loads((ws / "corpus_stats.json").read_text(encoding="utf-8"))["n_docs"]
+        rows = (ws / "topics.tsv").read_text(encoding="utf-8").splitlines()
+        # term count 1, in one document: the weight is ln(N / 1)
+        assert [row.split("\t")[3:] for row in rows if "\tzucchini\t" in row] == [
+            ["zucchini", f"{math.log(n_docs):.6f}"]
+        ]
+
     def test_rank_cutoff_limits_cohort(self, data_dir, lexicon_file, tmp_path, capsys):
         ws = tmp_path / "ws"
         run_pipeline(data_dir, lexicon_file, ws, through="ingest")
@@ -183,6 +200,16 @@ class TestPipeline:
 class TestExitCodes:
     def test_rank_before_ingest_is_stale(self, tmp_path, capsys):
         assert main(["rank", "--workspace", str(tmp_path / "ws")]) == 2
+        assert not (tmp_path / "ws").exists()
+
+    @pytest.mark.parametrize("command", ["rank", "score", "compare"])
+    def test_missing_workspace_is_never_created(
+        self, data_dir, lexicon_file, tmp_path, capsys, command
+    ):
+        ws = tmp_path / "typo" / "ws"
+        assert main(pipeline_steps(data_dir, lexicon_file, ws)[command]) == 2
+        assert "run ingest first" in capsys.readouterr().err
+        assert not (tmp_path / "typo").exists()
 
     def test_score_before_rank_is_stale(self, data_dir, lexicon_file, tmp_path):
         ws = tmp_path / "ws"

@@ -231,6 +231,16 @@ class TestParseBusinesses:
         assert records[1].is_restaurant is False
         assert counters.skipped_non_restaurant == 0
 
+    def test_categories_as_json_list(self):
+        lines = [
+            business_line("b1", categories=["Thai", " restaurants "]),
+            business_line("b2", categories=["Shopping", 7]),
+        ]
+        counters = BusinessCounters()
+        records = list(parse_businesses(lines, counters=counters))
+        assert [r.business_id for r in records] == ["b1"]
+        assert counters.skipped_non_restaurant == 1
+
     def test_category_match_is_exact_token(self):
         # a category merely containing the word is not a restaurant
         lines = [business_line("b1", categories="Restaurant Supplies")]
@@ -266,6 +276,24 @@ class TestParseBusinesses:
         obj["attributes"] = None
         records = list(parse_businesses([json.dumps(obj)]))
         assert records[0].features == frozenset()
+
+    def test_non_string_attribute_values(self):
+        # read in their Python-literal form, as if the dump had quoted them
+        attributes = {
+            "WiFi": True,
+            "RestaurantsPriceRange2": 2,
+            "BusinessParking": {"garage": True, "lot": False},
+            "Ambience": {"classy": {"x": 1}},  # nested map: fallback, unknown name
+            "HasTV": None,
+            "Caters": 2.5,                     # fallback, absent
+            "Music": ["a"],                    # fallback, unknown name
+        }
+        counters = BusinessCounters()
+        lines = [business_line("b1", attributes=attributes)]
+        records = list(parse_businesses(lines, counters=counters))
+        assert records[0].features == {"garage", "restaurantspricerange2", "wifi"}
+        assert counters.attribute_fallbacks == 3
+        assert counters.unknown_feature_names == 2
 
     def test_accepts_binary_stream(self):
         data = (business_line("b1") + "\n").encode("utf-8")
@@ -383,6 +411,14 @@ class TestParseReviews:
         assert list(parse_reviews([line], {"b1"}, counters)) == []
         assert counters.skipped_bad_stars == 1
 
+    @pytest.mark.parametrize("field", ["review_id", "business_id"])
+    def test_missing_id_is_malformed(self, field):
+        obj = json.loads(review_line("r1", "b1", 4, "fine"))
+        del obj[field]
+        counters = ReviewCounters()
+        assert list(parse_reviews([json.dumps(obj)], {"b1"}, counters)) == []
+        assert counters.skipped_malformed == 1
+
     def test_missing_text_becomes_empty(self):
         obj = json.loads(review_line("r1", "b1", 4, "x"))
         del obj["text"]
@@ -447,6 +483,19 @@ class TestLoaders:
     def test_load_reviews_missing_file(self, tmp_path):
         with pytest.raises(IngestError):
             load_reviews(tmp_path / "nope.json", {"b1"})
+
+    def test_load_reviews_dedupes_first_wins(self, tmp_path):
+        path = tmp_path / "review.json"
+        path.write_text(
+            review_line("r1", "b1", 4, "first") + "\n"
+            + review_line("r2", "b1", 4, "other") + "\n"
+            + review_line("r1", "b1", 2, "second") + "\n",
+            encoding="utf-8",
+        )
+        reviews, counters = load_reviews(path, {"b1"})
+        assert [(r.review_id, r.text) for r in reviews] == [("r1", "first"), ("r2", "other")]
+        assert counters.skipped_duplicate_id == 1
+        assert counters.parsed == 3
 
     def test_load_reviews_round_trip(self, tmp_path):
         path = tmp_path / "review.json"

@@ -234,6 +234,14 @@ class TestSentimentLexicon:
         assert dict(lexicon.entries) == {"good": 2, "bad": -3}
         assert counters.as_dict() == {"loaded": 2, "skipped_multiword": 3, "skipped_malformed": 0}
 
+    def test_byte_order_mark_is_not_part_of_the_first_term(self, tmp_path):
+        path = tmp_path / "lex.txt"
+        path.write_bytes(b"\xef\xbb\xbfgreat\t3\nawful\t-3\n")
+        counters = LexiconCounters()
+        lexicon = SentimentLexicon.load(path, counters)
+        assert dict(lexicon.entries) == {"great": 3, "awful": -3}
+        assert counters.loaded == 2
+
     def test_unknown_term_is_neutral(self):
         lexicon = SentimentLexicon(entries={"good": 2})
         assert lexicon.valence("ghost") == 0

@@ -91,6 +91,16 @@ class TestValidation:
                 categories={"x": frozenset()}, weights={"x": 1.0},
             )
 
+    @pytest.mark.parametrize("text", [
+        "",
+        "weight = 1.0\nfeatures = wifi\n",
+        "[food]\nfeatures = wifi\n",
+        "[food]\nweight = heavy\nfeatures = wifi\n",
+    ], ids=["empty", "no_section_header", "missing_weight", "non_numeric_weight"])
+    def test_bad_config_rejected(self, text):
+        with pytest.raises(ValueError):
+            FeatureTaxonomy.loads(text)
+
 
 class TestConfigRoundTrip:
     def test_dumps_loads_round_trip(self):
@@ -120,6 +130,11 @@ class TestConfigRoundTrip:
         path.write_text(DEFAULT_TAXONOMY.dumps(), encoding="utf-8")
         assert FeatureTaxonomy.load(path).config_hash() == DEFAULT_TAXONOMY.config_hash()
 
+    def test_load_accepts_byte_order_mark(self, tmp_path):
+        path = tmp_path / "tax.cfg"
+        path.write_bytes(b"\xef\xbb\xbf" + DEFAULT_TAXONOMY.dumps().encode("utf-8"))
+        assert FeatureTaxonomy.load(path) == DEFAULT_TAXONOMY
+
 
 class TestVariantTaxonomy:
     def test_alcohol_moves_to_amenities(self):
@@ -129,6 +144,13 @@ class TestVariantTaxonomy:
 
     def test_same_universe(self):
         assert alcohol_amenity_taxonomy().universe == DEFAULT_TAXONOMY.universe
+
+    @pytest.mark.parametrize("taxonomy", [DEFAULT_TAXONOMY, alcohol_amenity_taxonomy()],
+                             ids=["default", "alcohol_amenity"])
+    def test_lookups_agree_with_categories(self, taxonomy):
+        owners = {name: c for c, names in taxonomy.categories.items() for name in names}
+        assert taxonomy.universe == frozenset(owners)
+        assert {name: taxonomy.category_of(name) for name in owners} == owners
 
     def test_only_alcohol_differs(self):
         variant = alcohol_amenity_taxonomy()
