@@ -3,16 +3,14 @@
 The four subcommands form a staged pipeline over one workspace directory.
 Exit codes: 0 on success, 1 on an input problem (missing file, bad record
 stream, unknown business id, bad flag), 2 when the workspace is stale,
-locked, damaged, or missing a prerequisite stage, or when the lexicon
-changed since score.
+locked, damaged, or missing a prerequisite stage, or when a record file
+changed since ingest or the lexicon since score.
 """
 
 import argparse
-import hashlib
 import json
 import os
 import sys
-from pathlib import Path
 
 from . import __version__
 from .disparity import build_disparity_report, render_text
@@ -30,7 +28,7 @@ from .taxonomy import (
     feature_frequency,
     rank_restaurants,
 )
-from .workspace import StaleWorkspaceError, Workspace
+from .workspace import StaleWorkspaceError, Workspace, file_sha256
 
 DEFAULT_CUTOFF = 500
 DEFAULT_TOPIC_COUNT = 50
@@ -90,8 +88,8 @@ def cmd_ingest(args) -> int:
             args.reviews, known_business_ids=businesses.keys()
         )
         workspace.begin_stage("ingest")
-        workspace.write_businesses(businesses.values())
-        workspace.write_reviews(reviews)
+        businesses_sha256 = workspace.write_businesses(businesses.values())
+        reviews_sha256 = workspace.write_reviews(reviews)
         summary = {
             "businesses": business_counters.as_dict(),
             "reviews": review_counters.as_dict(),
@@ -99,7 +97,9 @@ def cmd_ingest(args) -> int:
         workspace.write_ingest_summary(summary)
         workspace.record_stage("ingest", {
             "businesses": business_counters.parsed,
+            "businesses_sha256": businesses_sha256,
             "reviews": review_counters.parsed,
+            "reviews_sha256": reviews_sha256,
             "tool_version": __version__,
         })
     print(json.dumps(summary, indent=2, sort_keys=True))
@@ -148,9 +148,9 @@ def cmd_score(args) -> int:
             raise IngestError("--k must be at least 1")
         workspace.verify_taxonomy_hash(stages["rank"]["config_hash"])
         lexicon = SentimentLexicon.load(args.lexicon)
-        lexicon_sha256 = _sha256(args.lexicon)
+        lexicon_sha256 = file_sha256(args.lexicon)
         cohort_ids = frozenset(e.business_id for e in workspace.read_ranked())
-        reviews = workspace.read_reviews()
+        reviews = workspace.read_reviews(cohort_ids)
         documents = build_star_documents(reviews, cohort_ids)
         stats = CorpusStats.from_documents(documents)
         profiles = build_topic_profiles(documents, stats, k=args.k, lexicon=lexicon)
@@ -182,19 +182,19 @@ def cmd_compare(args) -> int:
         stages = workspace.require_stage("score")
         score = stages["score"]
         taxonomy = workspace.verify_taxonomy_hash(stages["rank"]["config_hash"])
-        if _sha256(score["lexicon_path"]) != score["lexicon_sha256"]:
+        if file_sha256(score["lexicon_path"]) != score["lexicon_sha256"]:
             raise StaleWorkspaceError(
                 f"lexicon {score['lexicon_path']} changed since the score command; "
                 "re-run score"
             )
         lexicon = SentimentLexicon.load(score["lexicon_path"])
-        businesses = workspace.read_businesses()
+        pair_ids = frozenset((args.a, args.b))
+        businesses = workspace.read_businesses(pair_ids)
         for business_id in (args.a, args.b):
             if business_id not in businesses:
                 raise IngestError(f"unknown business id: {business_id}")
         stats = workspace.read_corpus_stats()
-        reviews = workspace.read_reviews()
-        pair_ids = frozenset((args.a, args.b))
+        reviews = workspace.read_reviews(pair_ids)
         documents = build_star_documents(reviews, pair_ids)
         profiles = build_topic_profiles(
             documents, stats, k=score["k"], lexicon=lexicon
@@ -211,10 +211,6 @@ def cmd_compare(args) -> int:
     else:
         print(report.to_json(), end="")
     return 0
-
-
-def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 _COMMANDS = {

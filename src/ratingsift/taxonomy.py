@@ -75,7 +75,8 @@ class FeatureTaxonomy:
     @classmethod
     def loads(cls, text: str) -> "FeatureTaxonomy":
         """Parse the key-value config format (see ``dumps``)."""
-        parser = configparser.ConfigParser()
+        # No interpolation: a "%" in a value is read as itself.
+        parser = configparser.ConfigParser(interpolation=None)
         try:
             parser.read_string(text)
         except configparser.Error as exc:
@@ -84,6 +85,9 @@ class FeatureTaxonomy:
         weights: dict[str, float] = {}
         for section in parser.sections():
             category = section.strip().lower()
+            if category in categories:
+                # configparser kept [Food] and [food] apart; folded, they clash
+                raise ValueError(f"category {category!r} appears more than once")
             try:
                 weight = parser.getfloat(section, "weight")
             except (configparser.NoOptionError, ValueError) as exc:

@@ -8,6 +8,7 @@ and no timestamps, so identical inputs produce byte-identical files.
 """
 
 import csv
+import hashlib
 import json
 import os
 from contextlib import contextmanager
@@ -29,7 +30,8 @@ STAGES = {
 # The keys of each stage's manifest entry: its counts, and the settings
 # later stages read.
 ENTRY_KEYS = {
-    "ingest": {"businesses", "reviews", "tool_version"},
+    "ingest": {"businesses", "businesses_sha256", "reviews", "reviews_sha256",
+               "tool_version"},
     "rank": {"config_hash", "cutoff", "kept"},
     "score": {"documents", "k", "lexicon_path", "lexicon_sha256"},
 }
@@ -160,24 +162,44 @@ class Workspace:
         return taxonomy
 
     # record files ------------------------------------------------------
+    #
+    # Each writer returns the file's SHA-256, which ingest records as
+    # "<file stem>_sha256". A reader checks the whole file against it, so it
+    # may skip the lines of businesses it does not want and still catch any
+    # edit to the file.
 
-    def write_businesses(self, records: Iterable[BusinessRecord]) -> None:
-        _write_jsonl(self.businesses_path, (r.to_json_dict() for r in records))
+    def write_businesses(self, records: Iterable[BusinessRecord]) -> str:
+        return _write_jsonl(self.businesses_path, (r.to_json_dict() for r in records))
 
-    def read_businesses(self) -> dict[str, BusinessRecord]:
-        out: dict[str, BusinessRecord] = {}
-        with _decoding(self.businesses_path):
-            for obj in _read_jsonl(self.businesses_path):
-                record = BusinessRecord.from_json_dict(obj)
-                out[record.business_id] = record
-        return out
+    def read_businesses(self, business_ids=None) -> dict[str, BusinessRecord]:
+        """The business records by id; only those in ``business_ids`` when given."""
+        records = self._read_records(self.businesses_path, BusinessRecord, business_ids)
+        return {record.business_id: record for record in records}
 
-    def write_reviews(self, reviews: Iterable[ReviewRecord]) -> None:
-        _write_jsonl(self.reviews_path, (r.to_json_dict() for r in reviews))
+    def write_reviews(self, reviews: Iterable[ReviewRecord]) -> str:
+        return _write_jsonl(self.reviews_path, (r.to_json_dict() for r in reviews))
 
-    def read_reviews(self) -> list[ReviewRecord]:
-        with _decoding(self.reviews_path):
-            return [ReviewRecord.from_json_dict(obj) for obj in _read_jsonl(self.reviews_path)]
+    def read_reviews(self, business_ids=None) -> list[ReviewRecord]:
+        """The reviews in file order; only those of ``business_ids`` when given."""
+        return self._read_records(self.reviews_path, ReviewRecord, business_ids)
+
+    def _read_records(self, path: Path, record_cls, business_ids) -> list:
+        expected = self.require_stage("ingest")["ingest"][f"{path.stem}_sha256"]
+        digest = hashlib.sha256()
+        records = []
+        with _decoding(path), open(path, "rb") as handle:
+            for raw in handle:
+                digest.update(raw)
+                line = raw.decode("utf-8")
+                # Every line starts with {"business_id": (sorted keys), so the
+                # id decodes on its own; the rest only when it is wanted.
+                if business_ids is None or _decode_id(line, _ID_START)[0] in business_ids:
+                    records.append(record_cls.from_json_dict(json.loads(line)))
+        if digest.hexdigest() != expected:
+            raise StaleWorkspaceError(
+                f"workspace {self.root}: {path.name} changed since ingest; re-run ingest"
+            )
+        return records
 
     def write_ingest_summary(self, summary: dict) -> None:
         _write_json(self.ingest_summary_path, summary)
@@ -276,16 +298,23 @@ def _read_json(path: Path):
         return json.load(handle)
 
 
-def _write_jsonl(path: Path, objects: Iterable[dict]) -> None:
+def _write_jsonl(path: Path, objects: Iterable[dict]) -> str:
+    """Write one compact, key-sorted JSON object per line; return the SHA-256."""
     with _create(path) as handle:
         for obj in objects:
             handle.write(json.dumps(obj, sort_keys=True, separators=(",", ":")))
             handle.write("\n")
+    return file_sha256(path)
 
 
-def _read_jsonl(path: Path):
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
+_decode_id = json.JSONDecoder().raw_decode
+_ID_START = len('{"business_id":')
+
+
+def file_sha256(path) -> str:
+    """Hex SHA-256 of a file's bytes, read in 64 KiB chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 16), b""):
+            digest.update(chunk)
+    return digest.hexdigest()

@@ -283,7 +283,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("old,new,named", [
         (" wifi\n", "\n", "wifi"),
         ("features = alcohol", "features = alcohol dogsallowed", "dogsallowed"),
-    ], ids=["drops_wifi", "adds_dogsallowed"])
+        (" wifi\n", " wi%fi\n", "'wi%fi'"),
+        ("[parking]", "[Food]\nweight = 1\nfeatures = wifi\n\n[parking]",
+         "'food' appears more than once"),
+    ], ids=["drops_wifi", "adds_dogsallowed", "percent_in_name", "category_case_duplicate"])
     def test_rank_rejects_taxonomy_over_other_features(
         self, data_dir, lexicon_file, tmp_path, capsys, old, new, named
     ):
@@ -354,8 +357,10 @@ class TestExitCodes:
          "compare", "corpus_stats.json", "score"),
         (lambda ws: _set_df(ws / "corpus_stats.json", lambda n_docs: 2 * n_docs),
          "compare", "corpus_stats.json", "score"),
+        (lambda ws: _drop_record_digests(ws / "manifest.json"),
+         "compare", "manifest.json", "ingest"),
     ], ids=["short_ranked_row", "stats_without_df", "stats_deleted", "older_manifest",
-            "stats_df_negative", "stats_df_over_n_docs"])
+            "stats_df_negative", "stats_df_over_n_docs", "manifest_without_digests"])
     def test_damaged_workspace_names_the_file(
         self, data_dir, lexicon_file, tmp_path, capsys, damage, command, named, rerun
     ):
@@ -366,6 +371,30 @@ class TestExitCodes:
         assert main(pipeline_steps(data_dir, lexicon_file, ws)[command]) == 2
         err = capsys.readouterr().err
         assert named in err and f"re-run {rerun}" in err
+
+    @pytest.mark.parametrize("name,command", [
+        ("reviews.jsonl", "compare"), ("reviews.jsonl", "score"),
+        ("businesses.jsonl", "rank"), ("businesses.jsonl", "compare"),
+    ])
+    @pytest.mark.parametrize("edit", [lambda path: _edit_other1(path),
+                                      lambda path: _merge_other1(path)],
+                             ids=["valid_edit", "merged_lines"])
+    def test_edited_record_file_outside_the_cohort(
+        self, data_dir, lexicon_file, tmp_path, capsys, name, command, edit
+    ):
+        # Cutoff 2 keeps the compared pair, so every command but rank skips
+        # the lines of other1; only the ingest digest can catch their edit.
+        ws = tmp_path / "ws"
+        steps = pipeline_steps(data_dir, lexicon_file, ws)
+        steps["rank"][-1] = "2"
+        for step in ("ingest", "rank", "score"):
+            assert main(steps[step]) == 0
+        assert Workspace(ws).read_ranked()[1].business_id == "ref_b"
+        edit(ws / name)
+        capsys.readouterr()
+        assert main(steps[command]) == 2
+        err = capsys.readouterr().err
+        assert name in err and "re-run ingest" in err
 
     @pytest.mark.parametrize("stage,writer,path", WRITES,
                              ids=[f"{stage}-{writer}" for stage, writer, _ in WRITES])
@@ -472,6 +501,37 @@ def _set_df(path, df_of):
     obj = json.loads(path.read_text(encoding="utf-8"))
     obj["df"][next(iter(obj["df"]))] = df_of(obj["n_docs"])
     path.write_text(json.dumps(obj), encoding="utf-8")
+
+
+def _other1_line(lines):
+    return next(i for i, line in enumerate(lines) if json.loads(line)["business_id"] == "other1")
+
+
+def _edit_other1(path):
+    """Rewrite the first record of other1 as another valid record."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    i = _other1_line(lines)
+    obj = json.loads(lines[i])
+    key = "name" if "name" in obj else "text"
+    lines[i] = json.dumps({**obj, key: obj[key] + " edited"}, sort_keys=True,
+                          separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _merge_other1(path):
+    """Join the first line of other1 and the line after it into one."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    i = _other1_line(lines)
+    lines[i:i + 2] = [lines[i] + lines[i + 1]]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _drop_record_digests(path):
+    """Rewrite the manifest as ingest wrote it before it recorded digests."""
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    for key in ("businesses_sha256", "reviews_sha256"):
+        del manifest["stages"]["ingest"][key]
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _write_older_manifest(path):

@@ -101,6 +101,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             FeatureTaxonomy.loads(text)
 
+    def test_categories_differing_in_case_rejected(self):
+        with pytest.raises(ValueError, match="'food'"):
+            FeatureTaxonomy.loads(
+                "[Food]\nweight=1\nfeatures=wifi\n[food]\nweight=0.5\nfeatures=lot\n"
+            )
+
+    def test_percent_is_read_literally(self):
+        taxonomy = FeatureTaxonomy.loads("[food]\nweight = 1\nfeatures = wi%fi %%\n")
+        assert taxonomy.categories == {"food": frozenset({"wi%fi", "%%"})}
+
 
 class TestConfigRoundTrip:
     def test_dumps_loads_round_trip(self):

@@ -1,8 +1,11 @@
 """Workspace artifacts, staleness tracking, and deterministic writers."""
 
 import json
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratingsift import (
     CorpusStats,
@@ -27,7 +30,8 @@ STAGE_ARTIFACTS = [
 
 # A manifest entry of each stage, as the commands record them.
 ENTRIES = {
-    "ingest": {"businesses": 2, "reviews": 5, "tool_version": "0.0"},
+    "ingest": {"businesses": 2, "businesses_sha256": "b0b0", "reviews": 5,
+               "reviews_sha256": "feed", "tool_version": "0.0"},
     "rank": {"config_hash": "c0ffee", "cutoff": 0, "kept": 2},
     "score": {"documents": 3, "k": 10, "lexicon_path": "lexicon.txt",
               "lexicon_sha256": "5eed"},
@@ -139,18 +143,39 @@ class TestTaxonomyHash:
             ws.verify_taxonomy_hash("whatever")
 
 
+def record_ingest(ws, businesses=(), reviews=()):
+    """Write both record files and an ingest entry holding their digests."""
+    ws.record_stage("ingest", {
+        **ENTRIES["ingest"],
+        "businesses_sha256": ws.write_businesses(businesses),
+        "reviews_sha256": ws.write_reviews(reviews),
+    })
+    ws.write_ingest_summary({})
+
+
 class TestRoundTrips:
     def test_businesses(self, ws):
         records = [make_business("b1", {"wifi", "dinner"}), make_business("b2", set())]
-        ws.write_businesses(records)
+        record_ingest(ws, businesses=records)
         loaded = ws.read_businesses()
         assert set(loaded) == {"b1", "b2"}
         assert loaded["b1"].features == {"wifi", "dinner"}
 
     def test_reviews(self, ws):
         reviews = [make_review("r1", "b1", 4, "nice"), make_review("r2", "b1", 1, "bad")]
-        ws.write_reviews(reviews)
+        record_ingest(ws, reviews=reviews)
         assert ws.read_reviews() == reviews
+
+    def test_record_file_edited_after_ingest(self, ws):
+        record_ingest(ws, reviews=[make_review("r1", "b1", 4, "nice"),
+                                   make_review("r2", "b2", 1, "bad")])
+        ws.reviews_path.write_text(
+            ws.reviews_path.read_text(encoding="utf-8").replace("bad", "sad"),
+            encoding="utf-8",
+        )
+        for business_ids in (None, {"b1"}):
+            with pytest.raises(StaleWorkspaceError, match="reviews.jsonl changed since ingest"):
+                ws.read_reviews(business_ids)
 
     def test_ranked(self, ws):
         entries = [RankEntry("b1", 12, 8.4), RankEntry("b2", 3, 2.1)]
@@ -168,6 +193,33 @@ class TestRoundTrips:
         ws.write_ingest_summary({"businesses": {"parsed": 2}})
         text = ws.ingest_summary_path.read_text(encoding="utf-8")
         assert json.loads(text) == {"businesses": {"parsed": 2}}
+
+
+# Business ids whose JSON form needs escapes, or that look like a flag.
+ESCAPED_IDS = ['plain', 'quo"te', 'back\\slash', 'caf\u00e9', '\u2603', '-dash']
+
+
+@given(
+    extra_ids=st.lists(st.text(alphabet='a-"\\\u00e9\u2603\n', min_size=1, max_size=4),
+                       max_size=3),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_filtered_read_is_the_full_read_filtered(extra_ids, data):
+    ids = list(dict.fromkeys(ESCAPED_IDS + extra_ids))
+    owners = data.draw(st.lists(st.sampled_from(ids), max_size=20))
+    wanted = data.draw(st.frozensets(st.sampled_from(ids + ["ghost"])))
+    businesses = [make_business(business_id, {"wifi"}) for business_id in ids]
+    reviews = [make_review(f"r{i}", owner, 1 + i % 5, "text") for i, owner in enumerate(owners)]
+    with tempfile.TemporaryDirectory() as root:
+        ws = Workspace(root)
+        record_ingest(ws, businesses, reviews)
+        assert ws.read_reviews(wanted) == [r for r in ws.read_reviews() if r.business_id in wanted]
+        assert ws.read_reviews() == reviews
+        assert list(ws.read_businesses(wanted).items()) == [
+            (business_id, record) for business_id, record in ws.read_businesses().items()
+            if business_id in wanted
+        ]
 
 
 class TestDeterministicWriters:
