@@ -150,8 +150,8 @@ def cmd_score(args) -> int:
         lexicon = SentimentLexicon.load(args.lexicon)
         lexicon_sha256 = file_sha256(args.lexicon)
         cohort_ids = frozenset(e.business_id for e in workspace.read_ranked())
-        reviews = workspace.read_reviews(cohort_ids)
-        documents = build_star_documents(reviews, cohort_ids)
+        # Unnamed, so the review list is freed once the documents are built.
+        documents = build_star_documents(workspace.read_reviews(cohort_ids), cohort_ids)
         stats = CorpusStats.from_documents(documents)
         profiles = build_topic_profiles(documents, stats, k=args.k, lexicon=lexicon)
         scores = cohort_scores(profiles)

@@ -49,8 +49,19 @@ def build_star_documents(
     tokenize to nothing still yields a document (with empty counts); it has
     reviews, they just carry no scoreable terms. Output is sorted by
     (business_id, stars) so the corpus is reproducible.
+
+    Every document holds one string per distinct term, shared with the
+    other documents, so a corpus costs its vocabulary once rather than once
+    per document. No document refers to a review, so a caller that passes
+    the review list without naming it has it freed once the documents are
+    built.
     """
     cohort = set(cohort_ids)
+    # Maps each term to its first string. Call-scoped, not sys.intern: an
+    # interned string is immortal on CPython 3.12, so a long-lived caller
+    # would keep every term it ever saw.
+    vocabulary: dict[str, str] = {}
+    shared = vocabulary.setdefault
     buckets: dict[tuple[str, int], Counter] = {}
     for review in reviews:
         if review.business_id not in cohort:
@@ -59,7 +70,8 @@ def build_star_documents(
         bucket = buckets.get(key)
         if bucket is None:
             bucket = buckets[key] = Counter()
-        bucket.update(tokenize(review.text))
+        tokens = tokenize(review.text)
+        bucket.update(map(shared, tokens, tokens))
     # Popping frees each Counter as soon as its copy is made.
     return [
         StarDocument(business_id=bid, stars=stars, term_counts=dict(buckets.pop((bid, stars))))

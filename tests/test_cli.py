@@ -5,11 +5,12 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
-from ratingsift import Workspace
+from ratingsift import Workspace, cli
 from ratingsift.cli import main
 
 from conftest import (
@@ -482,6 +483,27 @@ class TestDeterminism:
             }
             runs.append((artifacts, stdout))
         assert runs[0] == runs[1]
+
+
+def test_score_frees_reviews_before_profiling(data_dir, lexicon_file, tmp_path, monkeypatch):
+    ws = tmp_path / "ws"
+    run_pipeline(data_dir, lexicon_file, ws, through="rank")
+    refs = []
+    read_reviews = Workspace.read_reviews
+    build_topic_profiles = cli.build_topic_profiles
+
+    def tracked_read(self, *args, **kwargs):
+        records = read_reviews(self, *args, **kwargs)
+        refs.extend(map(weakref.ref, records))
+        return records
+
+    def profile_after_free(*args, **kwargs):
+        assert refs and all(ref() is None for ref in refs), "reviews still alive"
+        return build_topic_profiles(*args, **kwargs)
+
+    monkeypatch.setattr(Workspace, "read_reviews", tracked_read)
+    monkeypatch.setattr(cli, "build_topic_profiles", profile_after_free)
+    assert main(pipeline_steps(data_dir, lexicon_file, ws)["score"]) == 0
 
 
 def _truncate_last_row(path):

@@ -1,6 +1,7 @@
 """Tokenization, TF-IDF topics, and lexicon sentiment."""
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -94,6 +95,27 @@ class TestBuildStarDocuments:
         assert [(d.business_id, d.stars) for d in docs] == [
             ("aa", 1), ("aa", 4), ("zz", 2),
         ]
+
+
+def test_documents_share_one_string_per_term():
+    reviews = [
+        make_review("r1", "b1", 5, "great pasta great wine"),
+        make_review("r2", "b1", 5, "pasta again"),
+        make_review("r3", "b2", 2, "cold pasta, no wine"),
+        make_review("r4", "b2", 2, "wine list great"),
+    ]
+    docs = build_star_documents(reviews, {"b1", "b2"})
+    oracle = {}
+    for r in reviews:
+        oracle.setdefault((r.business_id, r.stars), Counter()).update(tokenize(r.text))
+    assert {(d.business_id, d.stars): d.term_counts for d in docs} == oracle
+    first = {}
+    for d in docs:
+        for term in d.term_counts:
+            assert first.setdefault(term, term) is term, term
+    assert {"great", "pasta", "wine"} <= first.keys()
+    for term in CorpusStats.from_documents(docs).df:
+        assert first[term] is term, term
 
 
 class TestTfidf:
