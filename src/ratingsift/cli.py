@@ -152,6 +152,11 @@ def cmd_score(args) -> int:
         cohort_ids = frozenset(e.business_id for e in workspace.read_ranked())
         # Unnamed, so the review list is freed once the documents are built.
         documents = build_star_documents(workspace.read_reviews(cohort_ids), cohort_ids)
+        if not documents:
+            raise IngestError(
+                f"none of the {len(cohort_ids)} ranked restaurants has a review; "
+                "there is nothing to score"
+            )
         stats = CorpusStats.from_documents(documents)
         profiles = build_topic_profiles(documents, stats, k=args.k, lexicon=lexicon)
         scores = cohort_scores(profiles)

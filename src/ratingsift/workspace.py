@@ -9,8 +9,10 @@ and no timestamps, so identical inputs produce byte-identical files.
 
 import csv
 import hashlib
+import io
 import json
 import os
+import re
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -185,16 +187,20 @@ class Workspace:
 
     def _read_records(self, path: Path, record_cls, business_ids) -> list:
         expected = self.require_stage("ingest")["ingest"][f"{path.stem}_sha256"]
+        # Lines are compared by the writer's own encoding of the id, so a
+        # line whose id is not wanted is never decoded. A wanted line is
+        # decoded up to the end of its object; the digest catches anything
+        # an edit put after it.
+        wanted = None if business_ids is None else {
+            json.dumps(business_id).encode() for business_id in business_ids
+        }
         digest = hashlib.sha256()
         records = []
         with _decoding(path), open(path, "rb") as handle:
             for raw in handle:
                 digest.update(raw)
-                line = raw.decode("utf-8")
-                # Every line starts with {"business_id": (sorted keys), so the
-                # id decodes on its own; the rest only when it is wanted.
-                if business_ids is None or _decode_id(line, _ID_START)[0] in business_ids:
-                    records.append(record_cls.from_json_dict(json.loads(line)))
+                if wanted is None or _id_token(raw) in wanted:
+                    records.append(record_cls.from_json_dict(_raw_decode(raw.decode("utf-8"))[0]))
         if digest.hexdigest() != expected:
             raise StaleWorkspaceError(
                 f"workspace {self.root}: {path.name} changed since ingest; re-run ingest"
@@ -231,16 +237,18 @@ class Workspace:
     # score artifacts ---------------------------------------------------
 
     def write_topics(self, profiles: Iterable[TopicProfile]) -> None:
-        _write_csv(
-            self.topics_path,
-            ["business_id", "stars", "rank", "term", "tfidf_weight"],
-            (
-                [profile.business_id, profile.stars, rank, term, f"{weight:.6f}"]
-                for profile in profiles
-                for rank, (term, weight) in enumerate(profile.topics, start=1)
-            ),
-            delimiter="\t",
-        )
+        """The bytes ``csv.writer(delimiter="\\t")`` writes, one line per topic
+        built by one f-string, and one write per profile."""
+        with _create(self.topics_path) as handle:
+            handle.write("business_id\tstars\trank\tterm\ttfidf_weight\n")
+            for profile in profiles:
+                if not profile.topics:  # no row, so csv never sees the id
+                    continue
+                prefix = f"{_tsv_field(profile.business_id)}\t{profile.stars}\t"
+                handle.write("".join([
+                    f"{prefix}{rank}\t{_tsv_field(term)}\t{weight:.6f}\n"
+                    for rank, (term, weight) in enumerate(profile.topics, start=1)
+                ]))
 
     def write_cohort_scores(self, scores: CohortScores) -> None:
         _write_csv(
@@ -254,7 +262,18 @@ class Workspace:
         )
 
     def write_corpus_stats(self, stats: CorpusStats) -> None:
-        _write_json(self.corpus_stats_path, {"n_docs": stats.n_docs, "df": stats.df})
+        """The bytes ``json.dump(indent=2, sort_keys=True)`` writes, streamed a
+        term at a time: json.dump with an indent encodes in pure Python."""
+        with _create(self.corpus_stats_path) as handle:
+            terms = iter(sorted(stats.df.items()))
+            first = next(terms, None)
+            if first is None:
+                handle.write('{\n  "df": {},\n')
+            else:
+                handle.write(f'{{\n  "df": {{\n    {_json_key(first[0])}: {first[1]}')
+                handle.writelines(f",\n    {_json_key(term)}: {count}" for term, count in terms)
+                handle.write("\n  },\n")
+            handle.write(f'  "n_docs": {stats.n_docs}\n}}\n')
 
     def read_corpus_stats(self) -> CorpusStats:
         with _decoding(self.corpus_stats_path):
@@ -300,15 +319,46 @@ def _read_json(path: Path):
 
 def _write_jsonl(path: Path, objects: Iterable[dict]) -> str:
     """Write one compact, key-sorted JSON object per line; return the SHA-256."""
-    with _create(path) as handle:
+    digest = hashlib.sha256()
+    with open(path, "wb") as handle:
         for obj in objects:
-            handle.write(json.dumps(obj, sort_keys=True, separators=(",", ":")))
-            handle.write("\n")
-    return file_sha256(path)
+            line = f"{_encode_record(obj)}\n".encode("utf-8")
+            handle.write(line)
+            digest.update(line)
+    return digest.hexdigest()
 
 
-_decode_id = json.JSONDecoder().raw_decode
+_encode_record = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_raw_decode = json.JSONDecoder().raw_decode
 _ID_START = len('{"business_id":')
+
+
+def _id_token(raw: bytes) -> bytes:
+    """The JSON-encoded id of a record line, quotes included. Every line
+    starts with {"business_id": (sorted keys). Inside the id every '"' is
+    escaped, so a quote with no backslash before it closes the id; after a
+    backslash the id is decoded and encoded again, as the writer encodes it."""
+    end = raw.index(b'"', _ID_START + 1) + 1
+    if raw[end - 2] != 0x5C:  # b"\\"
+        return raw[_ID_START:end]
+    return json.dumps(_raw_decode(raw.decode("utf-8"), _ID_START)[0]).encode()
+
+
+_json_key = json.encoder.encode_basestring_ascii
+
+
+def _tsv_field(value: str) -> str:
+    """``value`` as csv writes it in a tab-separated row. Only a field holding
+    a tab, quote, line break or NUL goes through csv, which quotes it or, for
+    NUL on Python 3.10, refuses it."""
+    if _NEEDS_CSV(value) is None:
+        return value
+    buffer = io.StringIO()
+    csv.writer(buffer, delimiter="\t", lineterminator="\n").writerow([value])
+    return buffer.getvalue()[:-1]
+
+
+_NEEDS_CSV = re.compile('[\t"\r\n\0]').search
 
 
 def file_sha256(path) -> str:

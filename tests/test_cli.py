@@ -1,5 +1,6 @@
 """Command line pipeline behavior and exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -229,6 +230,27 @@ class TestExitCodes:
         assert main(["ingest", "--business", str(tmp_path / "nope.json"),
                      "--reviews", str(tmp_path / "nope2.json"),
                      "--workspace", str(tmp_path / "ws")]) == 1
+
+    @pytest.mark.parametrize("restaurants", [0, 2])
+    def test_score_without_reviews_names_the_cause(
+        self, lexicon_file, tmp_path, capsys, restaurants
+    ):
+        # Every review belongs to a business that is not a ranked restaurant,
+        # so no star document exists to build corpus statistics from.
+        businesses = [business_line(f"diner{i}") for i in range(restaurants)]
+        businesses.append(business_line("garage9", categories="Auto Repair"))
+        (tmp_path / "business.json").write_text("\n".join(businesses) + "\n", encoding="utf-8")
+        (tmp_path / "review.json").write_text(
+            review_line("r1", "garage9", 3, "fine") + "\n", encoding="utf-8")
+        ws = tmp_path / "ws"
+        run_pipeline(tmp_path, lexicon_file, ws, through="rank")
+        capsys.readouterr()
+        assert main(pipeline_steps(tmp_path, lexicon_file, ws)["score"]) == 1
+        assert capsys.readouterr().err == (
+            f"ratingsift: none of the {restaurants} ranked restaurants has a review; "
+            "there is nothing to score\n"
+        )
+        assert "score" not in Workspace(ws).load_manifest()["stages"]
 
     def test_unknown_business_id(self, data_dir, lexicon_file, tmp_path):
         ws = tmp_path / "ws"
@@ -483,6 +505,42 @@ class TestDeterminism:
             }
             runs.append((artifacts, stdout))
         assert runs[0] == runs[1]
+
+    def test_golden_bytes(self, data_dir, lexicon_file, tmp_path, capsys):
+        # Reruns only show that the writers are deterministic; these digests,
+        # taken before the writers stopped going through csv and json.dump,
+        # pin the bytes themselves.
+        ws = tmp_path / "ws"
+        digests = {}
+        for name, argv in pipeline_steps(data_dir, lexicon_file, ws).items():
+            assert main(argv) == 0, name
+            digests[f"{name} stdout"] = _sha256(capsys.readouterr().out.encode("utf-8"))
+        for name in GOLDEN_FILES:
+            digests[name] = _sha256((ws / name).read_bytes())
+        assert digests == GOLDEN
+
+
+GOLDEN_FILES = ("businesses.jsonl", "reviews.jsonl", "topics.tsv", "corpus_stats.json")
+GOLDEN = {
+    "ingest stdout": "6b772b275851d633ca442ef5874538b392520c2584baae0ae849396d933e4511",
+    "rank stdout": "df46c02368691db9a33ce150665c5b36eaf12f04686bc28a3c5a5903e13f53af",
+    "score stdout": "d1c8ba1c78c6f4969aebd0c9eb675fee3bf060eb8ea793f97f264d0589d18257",
+    # From Python 3.12 on, sum() of floats is compensated, so the report's
+    # deficiency_b reads 4.1 there and 4.1000000000000005 before.
+    "compare stdout": (
+        "fd2e36c508116fb016a7d4b6a744beeb92beca35510b60e7470330ef084e78ab"
+        if sys.version_info >= (3, 12) else
+        "b18e072605d7b725fb6a53df382b60f7ddd5efc3ce7ee654b0bdb6b2b9d15811"
+    ),
+    "businesses.jsonl": "80c1c3854b27bcd2453867c4d0bf569d3397a55d6f72565b68b84f5ebbaea4a7",
+    "reviews.jsonl": "8ac19450a2606b5cd1a5aea39f1dc42767297113cb2e7711596db7e8efe55f43",
+    "topics.tsv": "8debdcc078d9fba70187269fa003aa304e44e56670c49b38ead147f8a6183af3",
+    "corpus_stats.json": "7602a166f88a4198c5a636af54ec6dfddff34a142846d95102fbfba7afc9cc97",
+}
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
 
 
 def test_score_frees_reviews_before_profiling(data_dir, lexicon_file, tmp_path, monkeypatch):

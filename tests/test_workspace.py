@@ -1,5 +1,7 @@
 """Workspace artifacts, staleness tracking, and deterministic writers."""
 
+import csv
+import io
 import json
 import tempfile
 
@@ -196,11 +198,14 @@ class TestRoundTrips:
 
 
 # Business ids whose JSON form needs escapes, or that look like a flag.
-ESCAPED_IDS = ['plain', 'quo"te', 'back\\slash', 'caf\u00e9', '\u2603', '-dash']
+# The last two hold ',' and '"' where a scan for the end of the id could
+# stop inside it.
+ESCAPED_IDS = ['plain', 'quo"te', 'back\\slash', 'caf\u00e9', '\u2603', '-dash',
+               'a","b', 'x\\",']
 
 
 @given(
-    extra_ids=st.lists(st.text(alphabet='a-"\\\u00e9\u2603\n', min_size=1, max_size=4),
+    extra_ids=st.lists(st.text(alphabet='a-"\\\u00e9\u2603\n,:', min_size=1, max_size=4),
                        max_size=3),
     data=st.data(),
 )
@@ -220,6 +225,51 @@ def test_filtered_read_is_the_full_read_filtered(extra_ids, data):
             (business_id, record) for business_id, record in ws.read_businesses().items()
             if business_id in wanted
         ]
+
+
+# Characters csv or json must quote or escape, and a few they pass through.
+AWKWARD_TEXT = st.text(alphabet='a\t"\r\n\\,:\0\u00e9\u2603', max_size=6)
+
+
+@given(profiles=st.lists(st.builds(
+    TopicProfile,
+    business_id=AWKWARD_TEXT,
+    stars=st.integers(1, 5),
+    topics=st.lists(st.tuples(AWKWARD_TEXT, st.floats()), max_size=4).map(tuple),
+    sentiment_score=st.integers(-9, 9),
+), max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_topics_are_what_csv_writes(profiles):
+    expected = io.StringIO()
+    writer = csv.writer(expected, delimiter="\t", lineterminator="\n")
+    rows = [["business_id", "stars", "rank", "term", "tfidf_weight"]] + [
+        [profile.business_id, profile.stars, rank, term, f"{weight:.6f}"]
+        for profile in profiles
+        for rank, (term, weight) in enumerate(profile.topics, start=1)
+    ]
+    with tempfile.TemporaryDirectory() as root:
+        ws = Workspace(root)
+        try:
+            writer.writerows(rows)
+        except csv.Error:  # NUL without an escapechar, before Python 3.11
+            with pytest.raises(csv.Error):
+                ws.write_topics(profiles)
+            return
+        ws.write_topics(profiles)
+        assert ws.topics_path.read_bytes() == expected.getvalue().encode("utf-8")
+
+
+@given(df=st.dictionaries(AWKWARD_TEXT, st.integers(1, 10**6), max_size=6), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_corpus_stats_are_what_json_dump_writes(df, data):
+    n_docs = data.draw(st.integers(max(df.values(), default=1), 10**7))
+    expected = io.StringIO()
+    json.dump({"n_docs": n_docs, "df": df}, expected, indent=2, sort_keys=True)
+    expected.write("\n")
+    with tempfile.TemporaryDirectory() as root:
+        ws = Workspace(root)
+        ws.write_corpus_stats(CorpusStats(n_docs=n_docs, df=df))
+        assert ws.corpus_stats_path.read_bytes() == expected.getvalue().encode("utf-8")
 
 
 class TestDeterministicWriters:
