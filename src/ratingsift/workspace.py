@@ -319,16 +319,13 @@ def _read_json(path: Path):
 
 def _write_jsonl(path: Path, objects: Iterable[dict]) -> str:
     """Write one compact, key-sorted JSON object per line; return the SHA-256."""
-    digest = hashlib.sha256()
-    with open(path, "wb") as handle:
+    with _create(path) as handle:
         for obj in objects:
-            line = f"{_encode_record(obj)}\n".encode("utf-8")
-            handle.write(line)
-            digest.update(line)
-    return digest.hexdigest()
+            handle.write(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+            handle.write("\n")
+    return file_sha256(path)
 
 
-_encode_record = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _raw_decode = json.JSONDecoder().raw_decode
 _ID_START = len('{"business_id":')
 

@@ -1,15 +1,19 @@
 """Digest every workspace file and command output of one pipeline run.
 
-Runs ingest, rank, ``score --k 50`` and a seeded list of compares
-(alternating json and text) over a corpus written by
-``perfbench/generate.py``, each command as its own process with the package
-imported from the given source directory. Prints one JSON object: the
-SHA-256 of every workspace file and of every command's stdout, and every
-exit code. Two source trees that write the same bytes print the same
-object, so comparing a parent commit with a change is a ``diff``:
+Runs ingest, rank, score and a seeded list of compares (alternating json
+and text) over a corpus written by ``perfbench/generate.py``, each command
+as its own process with the package imported from the given source
+directory. The command arguments, the rank cutoff of the workload and the
+workspace file digests are the benchmark's own (``perfbench/run.py`` and
+``perfbench/workloads.py``), so the pipeline checked is the one benchmarked.
+Prints one JSON object: the SHA-256 of every workspace file and of every
+command's stdout, and every exit code. Two source trees that write the same
+bytes print the same object, so comparing a parent commit with a change is
+a ``diff``:
 
-    python3 tools/artifact_digests.py CORPUS_DIR parent/src > parent.json
-    python3 tools/artifact_digests.py CORPUS_DIR src > change.json
+    python3 perfbench/generate.py --workload reviews --seed 5 --out CORPUS_DIR
+    python3 tools/artifact_digests.py reviews CORPUS_DIR parent/src > parent.json
+    python3 tools/artifact_digests.py reviews CORPUS_DIR src > change.json
     diff parent.json change.json
 """
 
@@ -23,61 +27,61 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from run import artifact_digests, compare_args, stage_args  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
 
 COMPARES = 20
-TOPIC_COUNT = 50
+SEED = 5  # of the compare pairs
 
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run(src: Path, args: list) -> tuple:
+def command(src: Path, stage: str, args: list) -> tuple:
     """Run one ratingsift command; return its exit code and stdout digest."""
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
-    result = subprocess.run([sys.executable, "-m", "ratingsift.cli", *args],
+    result = subprocess.run([sys.executable, "-m", "ratingsift.cli", stage, *args],
                             env=env, capture_output=True, check=False)
     return result.returncode, sha256(result.stdout)
 
 
-def digests(corpus: Path, src: Path, cutoff: int, seed: int) -> dict:
+def digests(workload, corpus_dir: Path, src: Path) -> dict:
     # Absolute, because score records the lexicon's path in the manifest.
-    corpus = corpus.resolve()
-    out = {"exit": {}, "stdout": {}, "files": {}}
+    corpus_dir = corpus_dir.resolve()
+    corpus = SimpleNamespace(business_path=corpus_dir / "business.json",
+                             reviews_path=corpus_dir / "review.json",
+                             lexicon_path=corpus_dir / "lexicon.txt")
+    out = {"exit": {}, "stdout": {}}
 
-    def record(label, args):
-        out["exit"][label], out["stdout"][label] = run(src, args)
+    def record(label, stage, args):
+        out["exit"][label], out["stdout"][label] = command(src, stage, args)
 
     with tempfile.TemporaryDirectory() as tmp:
         ws = Path(tmp) / "ws"
-        record("ingest", ["ingest", "--business", str(corpus / "business.json"),
-                          "--reviews", str(corpus / "review.json"), "--workspace", str(ws)])
-        record("rank", ["rank", "--workspace", str(ws), "--cutoff", str(cutoff)])
-        record("score", ["score", "--workspace", str(ws),
-                         "--lexicon", str(corpus / "lexicon.txt"), "--k", str(TOPIC_COUNT)])
+        for stage, args in stage_args(workload, corpus, ws).items():
+            record(stage, stage, args)
         with open(ws / "ranked.csv", encoding="utf-8", newline="") as handle:
             ids = sorted(row["business_id"] for row in csv.DictReader(handle))
-        rng = random.Random(seed)
+        rng = random.Random(SEED)
         for i in range(COMPARES):
-            a, b = rng.sample(ids, 2)
-            fmt = ("json", "text")[i % 2]
-            # "--a=<id>": an id may start with "-", which argparse reads as a flag.
-            record(f"compare{i:02d}", ["compare", "--workspace", str(ws),
-                                       f"--a={a}", f"--b={b}", f"--format={fmt}"])
-        for path in sorted(ws.iterdir()):
-            out["files"][path.name] = sha256(path.read_bytes())
+            pair = rng.sample(ids, 2)
+            record(f"compare{i:02d}", "compare", compare_args(ws, pair, ("json", "text")[i % 2]))
+        out["files"] = artifact_digests(ws)
     return out
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("workload", choices=sorted(WORKLOADS),
+                        help="the benchmark workload the corpus was generated for")
     parser.add_argument("corpus", type=Path, help="directory written by perfbench/generate.py")
     parser.add_argument("src", type=Path, help="source directory holding the ratingsift package")
-    parser.add_argument("--cutoff", type=int, default=0, help="rank --cutoff (default 0)")
-    parser.add_argument("--seed", type=int, default=5,
-                        help="seed of the compare pairs (default 5)")
     args = parser.parse_args(argv)
-    print(json.dumps(digests(args.corpus, args.src, args.cutoff, args.seed),
+    print(json.dumps(digests(WORKLOADS[args.workload], args.corpus, args.src),
                      indent=1, sort_keys=True))
     return 0
 
