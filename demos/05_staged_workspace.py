@@ -2,10 +2,11 @@
 
 The four subcommands (ingest, rank, score, compare) share one workspace
 directory. Before it writes, a stage wipes everything downstream; once its
-files are written, it records an entry in manifest.json holding its counts
-and settings (the taxonomy hash, the cutoff, k, the lexicon path and its
-SHA-256). So artifacts can never silently mix configurations, and the
-hashes catch a hand-edited taxonomy or lexicon. All writers are
+files are written, it records an entry in manifest.json holding its counts,
+its settings (the cutoff, k, the lexicon path and its SHA-256) and the
+SHA-256 of every file it wrote. So artifacts can never silently mix
+configurations, and the digests catch any hand-edited workspace file or
+lexicon. All writers are
 deterministic, which this script proves by running ingest, rank and score
 twice and hashing every file, manifest.json included.
 

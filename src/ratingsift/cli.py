@@ -3,8 +3,8 @@
 The four subcommands form a staged pipeline over one workspace directory.
 Exit codes: 0 on success, 1 on an input problem (missing file, bad record
 stream, unknown business id, bad flag), 2 when the workspace is stale,
-locked, damaged, or missing a prerequisite stage, or when a record file
-changed since ingest or the lexicon since score.
+locked, damaged, or missing a prerequisite stage, or when any workspace file
+changed since the stage that wrote it or the lexicon since score.
 """
 
 import argparse
@@ -88,8 +88,8 @@ def cmd_ingest(args) -> int:
             args.reviews, known_business_ids=businesses.keys()
         )
         workspace.begin_stage("ingest")
-        businesses_sha256 = workspace.write_businesses(businesses.values())
-        reviews_sha256 = workspace.write_reviews(reviews)
+        workspace.write_businesses(businesses.values())
+        workspace.write_reviews(reviews)
         summary = {
             "businesses": business_counters.as_dict(),
             "reviews": review_counters.as_dict(),
@@ -97,9 +97,7 @@ def cmd_ingest(args) -> int:
         workspace.write_ingest_summary(summary)
         workspace.record_stage("ingest", {
             "businesses": business_counters.parsed,
-            "businesses_sha256": businesses_sha256,
             "reviews": review_counters.parsed,
-            "reviews_sha256": reviews_sha256,
             "tool_version": __version__,
         })
     print(json.dumps(summary, indent=2, sort_keys=True))
@@ -131,11 +129,7 @@ def cmd_rank(args) -> int:
         workspace.write_taxonomy(taxonomy)
         workspace.write_ranked(ranked.entries)
         workspace.write_frequency(frequency)
-        workspace.record_stage("rank", {
-            "config_hash": taxonomy.config_hash(),
-            "cutoff": args.cutoff,
-            "kept": len(ranked.entries),
-        })
+        workspace.record_stage("rank", {"cutoff": args.cutoff, "kept": len(ranked.entries)})
     print(f"ranked {len(ranked.entries)} restaurants (cutoff {args.cutoff})")
     return 0
 
@@ -143,10 +137,10 @@ def cmd_rank(args) -> int:
 def cmd_score(args) -> int:
     workspace = Workspace(args.workspace)
     with workspace.lock():
-        stages = workspace.require_stage("rank")
+        workspace.require_stage("rank")
         if args.k < 1:
             raise IngestError("--k must be at least 1")
-        workspace.verify_taxonomy_hash(stages["rank"]["config_hash"])
+        workspace.read_taxonomy()  # only checked: score does not use it
         lexicon = SentimentLexicon.load(args.lexicon)
         lexicon_sha256 = file_sha256(args.lexicon)
         cohort_ids = frozenset(e.business_id for e in workspace.read_ranked())
@@ -184,9 +178,8 @@ def cmd_score(args) -> int:
 def cmd_compare(args) -> int:
     workspace = Workspace(args.workspace)
     with workspace.lock():
-        stages = workspace.require_stage("score")
-        score = stages["score"]
-        taxonomy = workspace.verify_taxonomy_hash(stages["rank"]["config_hash"])
+        score = workspace.require_stage("score")["score"]
+        taxonomy = workspace.read_taxonomy()
         if file_sha256(score["lexicon_path"]) != score["lexicon_sha256"]:
             raise StaleWorkspaceError(
                 f"lexicon {score['lexicon_path']} changed since the score command; "

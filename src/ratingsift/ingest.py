@@ -325,7 +325,11 @@ def _build_business(
 ) -> BusinessRecord | None:
     """Build a record from one decoded JSON object; None when malformed."""
     business_id = obj.get("business_id")
-    if not isinstance(business_id, str) or not business_id:
+    # ranked.csv could not hold "\r" (csv leaves it bare before Python 3.13)
+    # or NUL (csv refuses it on 3.10), so such an id is malformed.
+    if not isinstance(business_id, str) or not business_id or (
+        "\r" in business_id or "\0" in business_id
+    ):
         return None
     stars = obj.get("stars")
     if not isinstance(stars, (int, float)) or isinstance(stars, bool):

@@ -1,8 +1,9 @@
 """On-disk workspace for the staged pipeline.
 
 Each pipeline stage (ingest, rank, score) writes its artifacts here plus a
-manifest entry; later stages refuse to run on a stale workspace instead of
-silently using mismatched artifacts. All writers are deterministic: fixed
+manifest entry holding the SHA-256 of each; later stages refuse to run on a
+stale workspace, or on a file changed since the stage that wrote it, instead
+of silently using mismatched artifacts. All writers are deterministic: fixed
 key order, fixed six-decimal formatting for rationals, "\n" line endings,
 and no timestamps, so identical inputs produce byte-identical files.
 """
@@ -28,14 +29,15 @@ STAGES = {
     "rank": ("taxonomy.cfg", "ranked.csv", "feature_frequency.csv"),
     "score": ("topics.tsv", "cohort_scores.csv", "corpus_stats.json"),
 }
+# The stage that writes each artifact.
+_WRITER = {name: stage for stage, names in STAGES.items() for name in names}
 
-# The keys of each stage's manifest entry: its counts, and the settings
-# later stages read.
+# The keys of each stage's manifest entry: its counts, the settings later
+# stages read, and "files", the SHA-256 of each artifact the stage wrote.
 ENTRY_KEYS = {
-    "ingest": {"businesses", "businesses_sha256", "reviews", "reviews_sha256",
-               "tool_version"},
-    "rank": {"config_hash", "cutoff", "kept"},
-    "score": {"documents", "k", "lexicon_path", "lexicon_sha256"},
+    "ingest": {"businesses", "files", "reviews", "tool_version"},
+    "rank": {"cutoff", "files", "kept"},
+    "score": {"documents", "files", "k", "lexicon_path", "lexicon_sha256"},
 }
 
 
@@ -103,11 +105,13 @@ class Workspace:
         if not self.manifest_path.exists():
             return {"stages": {}}
         with _decoding(self.manifest_path):
-            manifest = _read_json(self.manifest_path)
+            manifest = json.loads(self.manifest_path.read_bytes())
             stages = manifest["stages"]
             done = list(STAGES)[:len(stages)]
+            # {**entry} raises TypeError, a damaged manifest, unless entry is a mapping
             if set(manifest) != {"stages"} or set(stages) != set(done) or any(
-                set(stages[stage]) != ENTRY_KEYS[stage] for stage in done
+                {**stages[stage]}.keys() != ENTRY_KEYS[stage]
+                or {**stages[stage]["files"]}.keys() != set(STAGES[stage]) for stage in done
             ):
                 raise ValueError("not the layout this version writes")
         return manifest
@@ -127,9 +131,10 @@ class Workspace:
                 (self.root / name).unlink(missing_ok=True)
 
     def record_stage(self, stage: str, info: dict) -> None:
-        """Mark a stage complete once all its artifacts are written."""
+        """Mark a stage complete once its artifacts are written, with their SHA-256."""
         manifest = self.load_manifest()
-        manifest["stages"][stage] = info
+        files = {name: file_sha256(self.root / name) for name in STAGES[stage]}
+        manifest["stages"][stage] = {**info, "files": files}
         _write_json(self.manifest_path, manifest)
 
     def require_stage(self, stage: str) -> dict:
@@ -150,43 +155,47 @@ class Workspace:
                     )
         return stages
 
-    def verify_taxonomy_hash(self, expected_hash: str) -> FeatureTaxonomy:
-        """Load the workspace taxonomy, checking it still has ``expected_hash``."""
-        if not self.taxonomy_path.exists():
-            raise StaleWorkspaceError(f"workspace {self.root} has no taxonomy.cfg")
-        with _decoding(self.taxonomy_path):
-            taxonomy = FeatureTaxonomy.load(self.taxonomy_path)
-        if taxonomy.config_hash() != expected_hash:
+    @contextmanager
+    def _checked(self, path: Path):
+        """Yield a SHA-256 to feed every byte read of ``path``; on leaving, raise
+        unless it matches the one recorded by the stage that wrote the file."""
+        stage = _WRITER[path.name]
+        expected = self.require_stage(stage)[stage]["files"][path.name]
+        digest = hashlib.sha256()
+        yield digest
+        if digest.hexdigest() != expected:
             raise StaleWorkspaceError(
-                "taxonomy.cfg does not match the manifest config hash; "
-                "re-run the rank command"
+                f"workspace {self.root}: {path.name} changed since {stage}; re-run {stage}"
             )
-        return taxonomy
+
+    def _read_checked(self, path: Path) -> bytes:
+        with self._checked(path) as digest:
+            data = path.read_bytes()
+            digest.update(data)
+        return data
 
     # record files ------------------------------------------------------
     #
-    # Each writer returns the file's SHA-256, which ingest records as
-    # "<file stem>_sha256". A reader checks the whole file against it, so it
-    # may skip the lines of businesses it does not want and still catch any
-    # edit to the file.
+    # A reader hashes the whole file as it streams it and checks the digest
+    # once the last line is read, so it may skip the lines of businesses it
+    # does not want and still catch any edit to the file.
 
-    def write_businesses(self, records: Iterable[BusinessRecord]) -> str:
-        return _write_jsonl(self.businesses_path, (r.to_json_dict() for r in records))
+    def write_businesses(self, records: Iterable[BusinessRecord]) -> None:
+        _write_jsonl(self.businesses_path, (r.to_json_dict() for r in records))
 
     def read_businesses(self, business_ids=None) -> dict[str, BusinessRecord]:
         """The business records by id; only those in ``business_ids`` when given."""
         records = self._read_records(self.businesses_path, BusinessRecord, business_ids)
         return {record.business_id: record for record in records}
 
-    def write_reviews(self, reviews: Iterable[ReviewRecord]) -> str:
-        return _write_jsonl(self.reviews_path, (r.to_json_dict() for r in reviews))
+    def write_reviews(self, reviews: Iterable[ReviewRecord]) -> None:
+        _write_jsonl(self.reviews_path, (r.to_json_dict() for r in reviews))
 
     def read_reviews(self, business_ids=None) -> list[ReviewRecord]:
         """The reviews in file order; only those of ``business_ids`` when given."""
         return self._read_records(self.reviews_path, ReviewRecord, business_ids)
 
     def _read_records(self, path: Path, record_cls, business_ids) -> list:
-        expected = self.require_stage("ingest")["ingest"][f"{path.stem}_sha256"]
         # Lines are compared by the writer's own encoding of the id, so a
         # line whose id is not wanted is never decoded. A wanted line is
         # decoded up to the end of its object; the digest catches anything
@@ -194,23 +203,23 @@ class Workspace:
         wanted = None if business_ids is None else {
             json.dumps(business_id).encode() for business_id in business_ids
         }
-        digest = hashlib.sha256()
         records = []
-        with _decoding(path), open(path, "rb") as handle:
+        with self._checked(path) as digest, _decoding(path), open(path, "rb") as handle:
             for raw in handle:
                 digest.update(raw)
                 if wanted is None or _id_token(raw) in wanted:
                     records.append(record_cls.from_json_dict(_raw_decode(raw.decode("utf-8"))[0]))
-        if digest.hexdigest() != expected:
-            raise StaleWorkspaceError(
-                f"workspace {self.root}: {path.name} changed since ingest; re-run ingest"
-            )
         return records
 
     def write_ingest_summary(self, summary: dict) -> None:
         _write_json(self.ingest_summary_path, summary)
 
     # rank artifacts ----------------------------------------------------
+
+    def read_taxonomy(self) -> FeatureTaxonomy:
+        self._read_checked(self.taxonomy_path)
+        with _decoding(self.taxonomy_path):
+            return FeatureTaxonomy.load(self.taxonomy_path)
 
     def write_taxonomy(self, taxonomy: FeatureTaxonomy) -> None:
         with _create(self.taxonomy_path) as handle:
@@ -224,11 +233,11 @@ class Workspace:
         )
 
     def read_ranked(self) -> list[RankEntry]:
+        data = self._read_checked(self.ranked_path)
         with _decoding(self.ranked_path):
-            with open(self.ranked_path, "r", encoding="utf-8", newline="") as handle:
-                rows = csv.reader(handle)
-                next(rows, None)  # header
-                return [RankEntry(row[0], int(row[1]), float(row[2])) for row in rows]
+            rows = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+            next(rows, None)  # header
+            return [RankEntry(row[0], int(row[1]), float(row[2])) for row in rows]
 
     def write_frequency(self, counts: Mapping[str, int]) -> None:
         ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -276,8 +285,9 @@ class Workspace:
             handle.write(f'  "n_docs": {stats.n_docs}\n}}\n')
 
     def read_corpus_stats(self) -> CorpusStats:
+        data = self._read_checked(self.corpus_stats_path)
         with _decoding(self.corpus_stats_path):
-            obj = _read_json(self.corpus_stats_path)
+            obj = json.loads(data)
             return CorpusStats(n_docs=obj["n_docs"], df=obj["df"])
 
 
@@ -288,7 +298,7 @@ def _decoding(path: Path):
     try:
         yield
     except (KeyError, IndexError, TypeError, ValueError) as exc:
-        stage = next((s for s, names in STAGES.items() if path.name in names), "ingest")
+        stage = _WRITER.get(path.name, "ingest")
         raise StaleWorkspaceError(
             f"workspace {path.parent}: {path.name} is damaged ({exc}); re-run {stage}"
         ) from exc
@@ -312,18 +322,12 @@ def _write_json(path: Path, obj) -> None:
         handle.write("\n")
 
 
-def _read_json(path: Path):
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def _write_jsonl(path: Path, objects: Iterable[dict]) -> str:
-    """Write one compact, key-sorted JSON object per line; return the SHA-256."""
+def _write_jsonl(path: Path, objects: Iterable[dict]) -> None:
+    """Write one compact, key-sorted JSON object per line."""
     with _create(path) as handle:
         for obj in objects:
             handle.write(json.dumps(obj, sort_keys=True, separators=(",", ":")))
             handle.write("\n")
-    return file_sha256(path)
 
 
 _raw_decode = json.JSONDecoder().raw_decode

@@ -270,6 +270,23 @@ class TestExitCodes:
         assert main(["compare", "--workspace", str(ws), "--a=-dash", "--b=ref_b"]) == 0
         assert json.loads(capsys.readouterr().out)["id_a"] == "-dash"
 
+    def test_id_that_ranked_csv_cannot_hold_is_malformed(self, tmp_path, lexicon_file, capsys):
+        # csv leaves "\r" bare before Python 3.13 and refuses NUL on 3.10
+        ids = ["cr\rid", "nul\u0000id", "plain"]
+        business = tmp_path / "business.json"
+        business.write_text("".join(business_line(i) + "\n" for i in ids), encoding="utf-8")
+        reviews = tmp_path / "review.json"
+        reviews.write_text("".join(review_line(f"r{n}", i, 5, "great pasta") + "\n"
+                                   for n, i in enumerate(ids)), encoding="utf-8")
+        steps = pipeline_steps(tmp_path, lexicon_file, tmp_path / "ws")
+        steps["compare"][-3:] = ["plain", "--b", "plain"]
+        assert main(steps.pop("ingest")) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["businesses"]["parsed"], summary["businesses"]["skipped_malformed"]) == (1, 2)
+        assert (summary["reviews"]["parsed"],
+                summary["reviews"]["skipped_unknown_business"]) == (1, 2)
+        assert {name: main(argv) for name, argv in steps.items()} == dict.fromkeys(steps, 0)
+
     def test_ingest_survives_deep_attribute_value(self, tmp_path, capsys):
         deep = "{'garage': " + "-" * 5000 + "1}"
         business = tmp_path / "business.json"
@@ -347,17 +364,6 @@ class TestExitCodes:
         (ws / ".lock").touch()
         assert main(["rank", "--workspace", str(ws)]) == 2
 
-    def test_tampered_taxonomy(self, data_dir, lexicon_file, tmp_path):
-        ws = tmp_path / "ws"
-        run_pipeline(data_dir, lexicon_file, ws, through="score")
-        path = ws / "taxonomy.cfg"
-        path.write_text(
-            path.read_text(encoding="utf-8").replace("0.700000", "0.710000"),
-            encoding="utf-8",
-        )
-        assert main(["compare", "--workspace", str(ws),
-                     "--a", "ref_a", "--b", "ref_b"]) == 2
-
     def test_edited_lexicon(self, data_dir, lexicon_file, tmp_path, capsys):
         ws = tmp_path / "ws"
         run_pipeline(data_dir, lexicon_file, ws, through="score")
@@ -382,8 +388,22 @@ class TestExitCodes:
          "compare", "corpus_stats.json", "score"),
         (lambda ws: _drop_record_digests(ws / "manifest.json"),
          "compare", "manifest.json", "ingest"),
+        (lambda ws: _list_ingest_files(ws / "manifest.json"),
+         "rank", "manifest.json", "ingest"),
+        # Edits that still decode, and that only the recorded digests catch.
+        (lambda ws: _delete_last_row(ws / "ranked.csv"),
+         "score", "ranked.csv", "rank"),
+        (lambda ws: _set_every_df(ws / "corpus_stats.json", lambda n_docs: n_docs),
+         "compare", "corpus_stats.json", "score"),
+        (lambda ws: _replace(ws / "taxonomy.cfg", "0.700000", "0.710000"),
+         "compare", "taxonomy.cfg", "rank"),
+        # parses to the same taxonomy, but is not the bytes rank wrote
+        (lambda ws: _replace(ws / "taxonomy.cfg", "weight = ", "weight =  "),
+         "compare", "taxonomy.cfg", "rank"),
     ], ids=["short_ranked_row", "stats_without_df", "stats_deleted", "older_manifest",
-            "stats_df_negative", "stats_df_over_n_docs", "manifest_without_digests"])
+            "stats_df_negative", "stats_df_over_n_docs", "manifest_without_digests",
+            "manifest_files_as_list", "ranked_row_deleted", "stats_every_df_n",
+            "taxonomy_weight_edited", "taxonomy_whitespace_edited"])
     def test_damaged_workspace_names_the_file(
         self, data_dir, lexicon_file, tmp_path, capsys, damage, command, named, rerun
     ):
@@ -509,7 +529,8 @@ class TestDeterminism:
     def test_golden_bytes(self, data_dir, lexicon_file, tmp_path, capsys):
         # Reruns only show that the writers are deterministic; these digests,
         # taken before the writers stopped going through csv and json.dump,
-        # pin the bytes themselves.
+        # pin the bytes themselves. They cover every artifact but the
+        # manifest, whose layout changes with the version.
         ws = tmp_path / "ws"
         digests = {}
         for name, argv in pipeline_steps(data_dir, lexicon_file, ws).items():
@@ -520,7 +541,9 @@ class TestDeterminism:
         assert digests == GOLDEN
 
 
-GOLDEN_FILES = ("businesses.jsonl", "reviews.jsonl", "topics.tsv", "corpus_stats.json")
+GOLDEN_FILES = ("businesses.jsonl", "reviews.jsonl", "ingest_summary.json", "taxonomy.cfg",
+                "ranked.csv", "feature_frequency.csv", "topics.tsv", "cohort_scores.csv",
+                "corpus_stats.json")
 GOLDEN = {
     "ingest stdout": "6b772b275851d633ca442ef5874538b392520c2584baae0ae849396d933e4511",
     "rank stdout": "df46c02368691db9a33ce150665c5b36eaf12f04686bc28a3c5a5903e13f53af",
@@ -534,7 +557,12 @@ GOLDEN = {
     ),
     "businesses.jsonl": "80c1c3854b27bcd2453867c4d0bf569d3397a55d6f72565b68b84f5ebbaea4a7",
     "reviews.jsonl": "8ac19450a2606b5cd1a5aea39f1dc42767297113cb2e7711596db7e8efe55f43",
+    "ingest_summary.json": "6b772b275851d633ca442ef5874538b392520c2584baae0ae849396d933e4511",
+    "taxonomy.cfg": "d9b0958ba1666d0c230c9446b00059996dcee389418becde2bf1739ade161f72",
+    "ranked.csv": "b1d84af2ffbc9e349c0de1c330ca7557f09e44f3fcd832dd8bf44aeb221929e0",
+    "feature_frequency.csv": "f7f3b904fdba6b0ab2aa257105830750b8736ab7622778ff15551f8d65575bd2",
     "topics.tsv": "8debdcc078d9fba70187269fa003aa304e44e56670c49b38ead147f8a6183af3",
+    "cohort_scores.csv": "3b090a03b27e1b068145a39e648518ec7ac332b03414cfa2855f8f9248e896ff",
     "corpus_stats.json": "7602a166f88a4198c5a636af54ec6dfddff34a142846d95102fbfba7afc9cc97",
 }
 
@@ -570,6 +598,17 @@ def _truncate_last_row(path):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _delete_last_row(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
+
+
+def _replace(path, old, new):
+    text = path.read_text(encoding="utf-8")
+    assert old in text
+    path.write_text(text.replace(old, new), encoding="utf-8")
+
+
 def _drop_key(path, key):
     obj = json.loads(path.read_text(encoding="utf-8"))
     del obj[key]
@@ -581,6 +620,14 @@ def _set_df(path, df_of):
     obj = json.loads(path.read_text(encoding="utf-8"))
     obj["df"][next(iter(obj["df"]))] = df_of(obj["n_docs"])
     path.write_text(json.dumps(obj), encoding="utf-8")
+
+
+def _set_every_df(path, df_of):
+    """Give every term of corpus_stats.json the df ``df_of(n_docs)``, keeping
+    the file's layout."""
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    obj["df"] = dict.fromkeys(obj["df"], df_of(obj["n_docs"]))
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _other1_line(lines):
@@ -607,10 +654,18 @@ def _merge_other1(path):
 
 
 def _drop_record_digests(path):
-    """Rewrite the manifest as ingest wrote it before it recorded digests."""
+    """Rewrite the manifest as the stages wrote it before they recorded the
+    digests of their files."""
     manifest = json.loads(path.read_text(encoding="utf-8"))
-    for key in ("businesses_sha256", "reviews_sha256"):
-        del manifest["stages"]["ingest"][key]
+    for entry in manifest["stages"].values():
+        del entry["files"]
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _list_ingest_files(path):
+    """Rewrite ingest's digest table as a list of its file names."""
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest["stages"]["ingest"]["files"] = sorted(manifest["stages"]["ingest"]["files"])
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
@@ -620,7 +675,7 @@ def _write_older_manifest(path):
     stages = json.loads(path.read_text(encoding="utf-8"))["stages"]
     path.write_text(json.dumps({
         "tool_version": stages["ingest"]["tool_version"],
-        "config_hash": stages["rank"]["config_hash"],
+        "config_hash": stages["rank"]["files"]["taxonomy.cfg"],
         "cutoff": stages["rank"]["cutoff"],
         "k": stages["score"]["k"],
         "lexicon_path": stages["score"]["lexicon_path"],

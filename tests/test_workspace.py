@@ -1,6 +1,7 @@
 """Workspace artifacts, staleness tracking, and deterministic writers."""
 
 import csv
+import hashlib
 import io
 import json
 import tempfile
@@ -19,6 +20,7 @@ from ratingsift import (
 )
 from ratingsift.sentiment import CohortScores, TopicProfile
 from ratingsift.taxonomy import RankEntry
+from ratingsift.workspace import STAGES
 
 from conftest import make_business, make_review
 
@@ -30,14 +32,23 @@ STAGE_ARTIFACTS = [
     ("score", ("topics_path", "cohort_scores_path", "corpus_stats_path")),
 ]
 
-# A manifest entry of each stage, as the commands record them.
+# A manifest entry of each stage, as the commands pass it to record_stage,
+# which adds the digests of the stage's files.
 ENTRIES = {
-    "ingest": {"businesses": 2, "businesses_sha256": "b0b0", "reviews": 5,
-               "reviews_sha256": "feed", "tool_version": "0.0"},
-    "rank": {"config_hash": "c0ffee", "cutoff": 0, "kept": 2},
+    "ingest": {"businesses": 2, "reviews": 5, "tool_version": "0.0"},
+    "rank": {"cutoff": 0, "kept": 2},
     "score": {"documents": 3, "k": 10, "lexicon_path": "lexicon.txt",
               "lexicon_sha256": "5eed"},
 }
+
+
+def record_through(ws, last):
+    """Record every stage up to ``last``, first creating, empty, each of
+    their files that is not yet written."""
+    for stage in list(STAGES)[:list(STAGES).index(last) + 1]:
+        for name in STAGES[stage]:
+            (ws.root / name).touch()
+        ws.record_stage(stage, ENTRIES[stage])
 
 
 @pytest.fixture
@@ -75,18 +86,20 @@ class TestStages:
             getattr(ws, path).write_text("x", encoding="utf-8")
         ws.begin_stage("ingest")
         ws.record_stage("ingest", ENTRIES["ingest"])
-        assert ws.require_stage("ingest") == {"ingest": ENTRIES["ingest"]}
+        files = dict.fromkeys(STAGES["ingest"], hashlib.sha256(b"x").hexdigest())
+        assert ws.require_stage("ingest") == {"ingest": {**ENTRIES["ingest"], "files": files}}
 
     def test_require_stage_missing_artifact(self, ws):
-        ws.record_stage("ingest", ENTRIES["ingest"])
+        record_through(ws, "ingest")
+        ws.businesses_path.unlink()
         with pytest.raises(StaleWorkspaceError, match="businesses.jsonl"):
             ws.require_stage("ingest")
 
     def test_recording_early_stage_clears_later_ones(self, ws):
-        for stage, entry in ENTRIES.items():
-            ws.record_stage(stage, entry)
+        record_through(ws, "score")
+        ingest = ws.load_manifest()["stages"]["ingest"]
         ws.begin_stage("rank")
-        assert ws.load_manifest() == {"stages": {"ingest": ENTRIES["ingest"]}}
+        assert ws.load_manifest() == {"stages": {"ingest": ingest}}
         ws.begin_stage("ingest")
         assert ws.load_manifest() == {"stages": {}}
 
@@ -125,34 +138,37 @@ class TestStages:
 
 
 class TestTaxonomyHash:
-    def test_matching_hash_passes(self, ws):
+    @pytest.fixture(autouse=True)
+    def record_rank(self, ws):
         ws.write_taxonomy(DEFAULT_TAXONOMY)
-        loaded = ws.verify_taxonomy_hash(DEFAULT_TAXONOMY.config_hash())
+        record_through(ws, "rank")
+
+    def test_matching_hash_passes(self, ws):
+        loaded = ws.read_taxonomy()
         assert isinstance(loaded, FeatureTaxonomy)
+        assert loaded.dumps() == DEFAULT_TAXONOMY.dumps()
 
     def test_edited_file_detected(self, ws):
-        ws.write_taxonomy(DEFAULT_TAXONOMY)
         text = ws.taxonomy_path.read_text(encoding="utf-8")
         ws.taxonomy_path.write_text(
             text.replace("weight = 0.700000", "weight = 0.710000"),
             encoding="utf-8",
         )
-        with pytest.raises(StaleWorkspaceError):
-            ws.verify_taxonomy_hash(DEFAULT_TAXONOMY.config_hash())
+        with pytest.raises(StaleWorkspaceError, match="taxonomy.cfg changed since rank"):
+            ws.read_taxonomy()
 
     def test_missing_file_detected(self, ws):
-        with pytest.raises(StaleWorkspaceError):
-            ws.verify_taxonomy_hash("whatever")
+        ws.taxonomy_path.unlink()
+        with pytest.raises(StaleWorkspaceError, match="taxonomy.cfg"):
+            ws.read_taxonomy()
 
 
 def record_ingest(ws, businesses=(), reviews=()):
-    """Write both record files and an ingest entry holding their digests."""
-    ws.record_stage("ingest", {
-        **ENTRIES["ingest"],
-        "businesses_sha256": ws.write_businesses(businesses),
-        "reviews_sha256": ws.write_reviews(reviews),
-    })
+    """Write ingest's files and record its entry, which holds their digests."""
+    ws.write_businesses(businesses)
+    ws.write_reviews(reviews)
     ws.write_ingest_summary({})
+    ws.record_stage("ingest", ENTRIES["ingest"])
 
 
 class TestRoundTrips:
@@ -182,11 +198,13 @@ class TestRoundTrips:
     def test_ranked(self, ws):
         entries = [RankEntry("b1", 12, 8.4), RankEntry("b2", 3, 2.1)]
         ws.write_ranked(entries)
+        record_through(ws, "rank")
         assert ws.read_ranked() == entries
 
     def test_corpus_stats(self, ws):
         stats = CorpusStats(n_docs=4, df={"pasta": 2, "wine": 1})
         ws.write_corpus_stats(stats)
+        record_through(ws, "score")
         loaded = ws.read_corpus_stats()
         assert loaded.n_docs == 4
         assert loaded.df == {"pasta": 2, "wine": 1}
@@ -302,7 +320,7 @@ class TestDeterministicWriters:
         assert b"\r" not in ws.ranked_path.read_bytes()
 
     def test_no_timestamps_in_manifest(self, ws):
-        ws.record_stage("ingest", ENTRIES["ingest"])
+        record_through(ws, "ingest")
         text = ws.manifest_path.read_text(encoding="utf-8")
         again = Workspace(ws.root)
         again.record_stage("ingest", ENTRIES["ingest"])
