@@ -5,7 +5,9 @@ manifest entry holding the SHA-256 of each; later stages refuse to run on a
 stale workspace, or on a file changed since the stage that wrote it, instead
 of silently using mismatched artifacts. All writers are deterministic: fixed
 key order, fixed six-decimal formatting for rationals, "\n" line endings,
-and no timestamps, so identical inputs produce byte-identical files.
+and no timestamps, so identical inputs produce byte-identical files. Each
+writer overwrites its file in place and cuts it to length once done (see
+``_create``); the manifest is written with one call.
 """
 
 import csv
@@ -304,9 +306,21 @@ def _decoding(path: Path):
         ) from exc
 
 
+@contextmanager
 def _create(path: Path):
-    """Open an artifact for writing: UTF-8, "\\n" line endings on every platform."""
-    return open(path, "w", encoding="utf-8", newline="")
+    """Open an artifact for writing: UTF-8, "\\n" line endings on every
+    platform. The file is overwritten in place and cut to its new length once
+    the body has written everything: truncating a file whose blocks are on
+    disk waits for the disk (tens of milliseconds on ext4), overwriting it
+    does not. An interrupted write leaves new bytes followed by old ones,
+    which no manifest entry claims."""
+    with open(path, "w", encoding="utf-8", newline="", opener=_open_in_place) as handle:
+        yield handle
+        handle.truncate()
+
+
+def _open_in_place(path, flags: int) -> int:
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
 def _write_csv(path: Path, header: list, rows: Iterable, delimiter: str = ",") -> None:
@@ -317,9 +331,12 @@ def _write_csv(path: Path, header: list, rows: Iterable, delimiter: str = ",") -
 
 
 def _write_json(path: Path, obj) -> None:
+    """One write of the whole text, so a cut-off manifest rewrite never mixes
+    new and old bytes into JSON that parses: it leaves the old file, the new
+    one, or the new one followed by an old tail that fails to parse."""
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     with _create(path) as handle:
-        json.dump(obj, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(text)
 
 
 def _write_jsonl(path: Path, objects: Iterable[dict]) -> None:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from ratingsift import Workspace, cli
+from ratingsift import Workspace, alcohol_amenity_taxonomy, cli
 from ratingsift.cli import main
 
 from conftest import (
@@ -82,6 +82,23 @@ def pipeline_steps(data_dir, lexicon_file, workspace):
     }
 
 
+def changed_steps(data_dir, lexicon_file, workspace):
+    """``pipeline_steps`` with settings that change what each stage writes:
+    one business fewer, the variant taxonomy with cutoff 2, and k 1, which
+    leaves only corpus_stats.json as it was."""
+    lines = (data_dir / "business.json").read_text(encoding="utf-8").splitlines(keepends=True)
+    fewer = data_dir / "business_fewer.json"
+    fewer.write_text("".join(line for line in lines if '"other1"' not in line),
+                     encoding="utf-8")
+    config = data_dir / "variant.cfg"
+    config.write_text(alcohol_amenity_taxonomy().dumps(), encoding="utf-8")
+    steps = pipeline_steps(data_dir, lexicon_file, workspace)
+    steps["ingest"][2] = str(fewer)
+    steps["rank"][-1:] = ["2", "--taxonomy", str(config)]
+    steps["score"][-1] = "1"
+    return steps
+
+
 def run_pipeline(data_dir, lexicon_file, workspace, through="compare"):
     for name, argv in pipeline_steps(data_dir, lexicon_file, workspace).items():
         code = main(argv)
@@ -138,7 +155,6 @@ class TestPipeline:
         assert "ref_a" in out and "ref_b" in out
 
     def test_custom_taxonomy_flag(self, data_dir, lexicon_file, tmp_path, capsys):
-        from ratingsift import alcohol_amenity_taxonomy
         config = tmp_path / "variant.cfg"
         config.write_text(alcohol_amenity_taxonomy().dumps(), encoding="utf-8")
         ws = tmp_path / "ws"
@@ -444,24 +460,33 @@ class TestExitCodes:
     def test_interrupted_write_is_never_claimed(
         self, data_dir, lexicon_file, tmp_path, monkeypatch, stage, writer, path
     ):
-        ws = tmp_path / "ws"
-        run_pipeline(data_dir, lexicon_file, ws, through="score")
+        # Two faults. A rerun with the same settings stops halfway through its
+        # file. A rerun that writes other bytes stops once it has overwritten
+        # part of the old file: new bytes up to past their first difference,
+        # then the old file's tail, which writing in place leaves behind.
         original = getattr(Workspace, writer)
+        faults = [
+            ("same", pipeline_steps, lambda new, old: new[:len(new) // 2]),
+            ("changed", changed_steps, _new_prefix_old_tail),
+        ]
+        for name, make_steps, fault in faults:
+            ws = tmp_path / name
+            run_pipeline(data_dir, lexicon_file, ws, through="score")
 
-        def interrupted(self, *args):
-            # the write stops halfway through its file
-            original(self, *args)
-            target = getattr(self, path)
-            target.write_bytes(target.read_bytes()[:target.stat().st_size // 2])
-            raise KeyboardInterrupt
+            def interrupted(self, *args):
+                target = getattr(self, path)
+                old = target.read_bytes()
+                original(self, *args)
+                target.write_bytes(fault(target.read_bytes(), old))
+                raise KeyboardInterrupt
 
-        steps = pipeline_steps(data_dir, lexicon_file, ws)
-        monkeypatch.setattr(Workspace, writer, interrupted)
-        with pytest.raises(KeyboardInterrupt):
-            main(steps[stage])
-        monkeypatch.undo()
-        later = list(steps)[list(steps).index(stage) + 1:]
-        assert {name: main(steps[name]) for name in later} == {name: 2 for name in later}
+            steps = make_steps(data_dir, lexicon_file, ws)
+            monkeypatch.setattr(Workspace, writer, interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                main(steps[stage])
+            monkeypatch.undo()
+            later = list(steps)[list(steps).index(stage) + 1:]
+            assert {step: main(steps[step]) for step in later} == {step: 2 for step in later}, name
 
     def test_bad_flag_values(self, data_dir, lexicon_file, tmp_path):
         ws = tmp_path / "ws"
@@ -494,6 +519,30 @@ class TestDeterminism:
             p.name: p.read_bytes() for p in sorted(ws.iterdir()) if p.is_file()
         }
         assert first == second
+
+    def test_shrinking_reruns_leave_no_stale_tail(self, data_dir, lexicon_file, tmp_path, capsys):
+        # Writers overwrite in place, so each file below is rewritten shorter
+        # than it was: fewer reviews, a smaller cohort, then fewer topics.
+        # Rank deletes score's files, so only a second score run rewrites them.
+        lines = (data_dir / "review.json").read_text(encoding="utf-8").splitlines(keepends=True)
+        fewer = data_dir / "review_fewer.json"
+        fewer.write_text("".join(lines[::2]), encoding="utf-8")
+
+        def run(ws, reviews, cutoff, *ks):
+            steps = pipeline_steps(data_dir, lexicon_file, ws)
+            steps["ingest"][4] = str(reviews)
+            steps["rank"][-1] = cutoff
+            runs = [steps["ingest"], steps["rank"]] + [steps["score"][:-1] + [k] for k in ks]
+            assert [main(argv) for argv in runs] == [0] * len(runs)
+            return {p.name: p.read_bytes() for p in sorted(ws.iterdir()) if p.is_file()}
+
+        ws = tmp_path / "ws"
+        before = run(ws, data_dir / "review.json", "0", "50")
+        rerun = run(ws, fewer, "2", "50", "1")
+        fresh = run(tmp_path / "fresh", fewer, "2", "1")
+        assert all(len(fresh[name]) < len(before[name]) for name in
+                   ("reviews.jsonl", "ranked.csv", "topics.tsv", "manifest.json"))
+        assert rerun == fresh
 
     def test_compare_output_stable(self, data_dir, lexicon_file, tmp_path, capsys):
         ws = tmp_path / "ws"
@@ -590,6 +639,14 @@ def test_score_frees_reviews_before_profiling(data_dir, lexicon_file, tmp_path, 
     monkeypatch.setattr(Workspace, "read_reviews", tracked_read)
     monkeypatch.setattr(cli, "build_topic_profiles", profile_after_free)
     assert main(pipeline_steps(data_dir, lexicon_file, ws)["score"]) == 0
+
+
+def _new_prefix_old_tail(new, old):
+    """The file an in-place rewrite leaves when cut off partway through the
+    bytes where ``new`` and ``old`` differ: new bytes, then old ones."""
+    same = next((i for i, (a, b) in enumerate(zip(new, old)) if a != b), min(len(new), len(old)))
+    cut = same + (len(new) - same + 1) // 2
+    return new[:cut] + old[cut:]
 
 
 def _truncate_last_row(path):

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import tempfile
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from ratingsift import (
     Workspace,
     WorkspaceLockedError,
 )
+from ratingsift import workspace as workspace_module
 from ratingsift.sentiment import CohortScores, TopicProfile
 from ratingsift.taxonomy import RankEntry
 from ratingsift.workspace import STAGES
@@ -135,6 +137,74 @@ class TestStages:
             for path in paths:
                 assert getattr(ws, path).exists() == (index <= position), path
         assert ws.manifest_path.exists()
+
+
+class _Interrupting:
+    """Stands in for ``workspace._create``: raises KeyboardInterrupt at point
+    ``at`` of writing the manifest, counting each write call and, once the
+    body has written everything, the cut to length. Other files pass through."""
+
+    def __init__(self, at):
+        self.at, self.points = at, 0
+        self.create = workspace_module._create  # the real one, before it is patched
+
+    def _point(self):
+        if self.points == self.at:
+            raise KeyboardInterrupt
+        self.points += 1
+
+    @contextmanager
+    def __call__(self, path):
+        with self.create(path) as handle:
+            if path.name != "manifest.json":
+                yield handle
+                return
+            self.handle = handle
+            yield self
+            self._point()
+
+    def write(self, text):
+        self._point()
+        return self.handle.write(text)
+
+
+@pytest.mark.parametrize("rewrite", [
+    lambda ws: ws.record_stage("ingest", {**ENTRIES["ingest"], "businesses": 3, "reviews": 6}),
+    lambda ws: ws.begin_stage("rank"),
+], ids=["record_changed_counts", "begin_rank"])
+def test_interrupted_manifest_rewrite_never_mixes(tmp_path, monkeypatch, rewrite):
+    # Interrupted at any point, the manifest holds its earlier bytes, the new
+    # ones, or the new ones followed by an old tail that fails to parse, and
+    # so exits 2; never old and new bytes mixed into JSON that parses.
+    reference = Workspace(tmp_path / "reference")
+    reference.root.mkdir()
+    record_through(reference, "score")
+    rewrite(reference)
+    new = reference.load_manifest()
+    at = 0
+    while True:
+        ws = Workspace(tmp_path / f"ws{at}")
+        ws.root.mkdir()
+        record_through(ws, "score")
+        old = ws.manifest_path.read_bytes()
+        with monkeypatch.context() as patch:
+            patch.setattr(workspace_module, "_create", _Interrupting(at))
+            try:
+                rewrite(ws)
+            except KeyboardInterrupt:
+                pass
+            else:
+                break
+        data = ws.manifest_path.read_bytes()
+        try:
+            parsed = json.loads(data)
+        except ValueError:
+            with pytest.raises(StaleWorkspaceError, match="manifest.json is damaged"):
+                ws.load_manifest()
+        else:
+            assert data == old or parsed == new, at
+        at += 1
+    assert at >= 2  # the write and the cut to length
 
 
 class TestTaxonomyHash:

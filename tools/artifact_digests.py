@@ -6,10 +6,14 @@ as its own process with the package imported from the given source
 directory. The command arguments, the rank cutoff of the workload and the
 workspace file digests are the benchmark's own (``perfbench/run.py`` and
 ``perfbench/workloads.py``), so the pipeline checked is the one benchmarked.
-Prints one JSON object: the SHA-256 of every workspace file and of every
-command's stdout, and every exit code. Two source trees that write the same
-bytes print the same object, so comparing a parent commit with a change is
-a ``diff``:
+Then it runs ingest, rank and score again over the finished workspace, so
+each writer also overwrites a file it wrote before; the benchmark starts
+every round from an empty workspace and never does. Prints one JSON object:
+the SHA-256 of every workspace file and of every command's stdout, and every
+exit code, with the same for the second pass under "rerun", whose files
+must equal the first pass's. Two source trees that write the same bytes
+print the same object, so comparing a parent commit with a change is a
+``diff``:
 
     python3 perfbench/generate.py --workload reviews --seed 5 --out CORPUS_DIR
     python3 tools/artifact_digests.py reviews CORPUS_DIR parent/src > parent.json
@@ -56,21 +60,27 @@ def digests(workload, corpus_dir: Path, src: Path) -> dict:
                              reviews_path=corpus_dir / "review.json",
                              lexicon_path=corpus_dir / "lexicon.txt")
     out = {"exit": {}, "stdout": {}}
+    rerun = out["rerun"] = {"exit": {}, "stdout": {}}
 
-    def record(label, stage, args):
-        out["exit"][label], out["stdout"][label] = command(src, stage, args)
+    def record(into, label, stage, args):
+        into["exit"][label], into["stdout"][label] = command(src, stage, args)
 
     with tempfile.TemporaryDirectory() as tmp:
         ws = Path(tmp) / "ws"
-        for stage, args in stage_args(workload, corpus, ws).items():
-            record(stage, stage, args)
+        stages = stage_args(workload, corpus, ws)
+        for stage, args in stages.items():
+            record(out, stage, stage, args)
         with open(ws / "ranked.csv", encoding="utf-8", newline="") as handle:
             ids = sorted(row["business_id"] for row in csv.DictReader(handle))
         rng = random.Random(SEED)
         for i in range(COMPARES):
             pair = rng.sample(ids, 2)
-            record(f"compare{i:02d}", "compare", compare_args(ws, pair, ("json", "text")[i % 2]))
+            record(out, f"compare{i:02d}", "compare",
+                   compare_args(ws, pair, ("json", "text")[i % 2]))
         out["files"] = artifact_digests(ws)
+        for stage, args in stages.items():
+            record(rerun, stage, stage, args)
+        rerun["files"] = artifact_digests(ws)
     return out
 
 
