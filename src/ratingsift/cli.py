@@ -1,6 +1,11 @@
 """Command line pipeline: ingest, rank, score, compare.
 
 The four subcommands form a staged pipeline over one workspace directory.
+``main`` is the one place a command runs: it opens the workspace, creates
+the directory for ingest only, holds the workspace lock while the command
+runs, and prints the text the command returns once the lock is released.
+Each ``cmd_*(args, workspace)`` checks its stage before its flags and reads
+only the workspace files its output depends on.
 Exit codes: 0 on success, 1 on an input problem (missing file, bad record
 stream, unknown business id, bad flag), 2 when the workspace is stale,
 locked, damaged, or missing a prerequisite stage, or when any workspace file
@@ -47,6 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.add_argument("--business", required=True, help="business JSON-lines file")
     p_ingest.add_argument("--reviews", required=True, help="review JSON-lines file")
     p_ingest.add_argument("--workspace", required=True, help="workspace directory")
+    p_ingest.set_defaults(run=cmd_ingest)
 
     p_rank = sub.add_parser("rank", help="rank ingested restaurants by feature count")
     p_rank.add_argument("--workspace", required=True)
@@ -58,6 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--taxonomy", default=None,
         help="feature taxonomy config file (default: built-in four categories)",
     )
+    p_rank.set_defaults(run=cmd_rank)
 
     p_score = sub.add_parser("score", help="extract topics and score sentiment")
     p_score.add_argument("--workspace", required=True)
@@ -66,6 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--k", type=int, default=DEFAULT_TOPIC_COUNT,
         help=f"topic terms per star document (default {DEFAULT_TOPIC_COUNT})",
     )
+    p_score.set_defaults(run=cmd_score)
 
     p_compare = sub.add_parser("compare", help="pairwise disparity report")
     p_compare.add_argument("--workspace", required=True)
@@ -75,148 +83,117 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("json", "text"), default="json", dest="fmt",
         help="report format (default json)",
     )
+    p_compare.set_defaults(run=cmd_compare)
     return parser
 
 
-def cmd_ingest(args) -> int:
-    workspace = Workspace(args.workspace)
-    # The only command that creates a workspace; the others need ingest's.
-    workspace.root.mkdir(parents=True, exist_ok=True)
-    with workspace.lock():
-        businesses, business_counters = load_businesses(args.business)
-        reviews, review_counters = load_reviews(
-            args.reviews, known_business_ids=businesses.keys()
-        )
-        workspace.begin_stage("ingest")
-        workspace.write_businesses(businesses.values())
-        workspace.write_reviews(reviews)
-        summary = {
-            "businesses": business_counters.as_dict(),
-            "reviews": review_counters.as_dict(),
-        }
-        workspace.write_ingest_summary(summary)
-        workspace.record_stage("ingest", {
-            "businesses": business_counters.parsed,
-            "reviews": review_counters.parsed,
-            "tool_version": __version__,
-        })
-    print(json.dumps(summary, indent=2, sort_keys=True))
-    return 0
+def cmd_ingest(args, workspace) -> str:
+    businesses, business_counters = load_businesses(args.business)
+    reviews, review_counters = load_reviews(args.reviews, known_business_ids=businesses.keys())
+    workspace.begin_stage("ingest")
+    workspace.write_businesses(businesses.values())
+    workspace.write_reviews(reviews)
+    summary = {
+        "businesses": business_counters.as_dict(),
+        "reviews": review_counters.as_dict(),
+    }
+    workspace.write_ingest_summary(summary)
+    workspace.record_stage("ingest", {
+        "businesses": business_counters.parsed,
+        "reviews": review_counters.parsed,
+        "tool_version": __version__,
+    })
+    return json.dumps(summary, indent=2, sort_keys=True) + "\n"
 
 
-def cmd_rank(args) -> int:
-    workspace = Workspace(args.workspace)
-    with workspace.lock():
-        workspace.require_stage("ingest")
-        if args.cutoff < 0:
-            raise IngestError("--cutoff must be zero or positive")
-        if args.taxonomy is None:
-            taxonomy = DEFAULT_TAXONOMY
-        else:
-            taxonomy = FeatureTaxonomy.load(args.taxonomy)
-            missing = sorted(DEFAULT_TAXONOMY.universe - taxonomy.universe)
-            unknown = sorted(taxonomy.universe - DEFAULT_TAXONOMY.universe)
-            if missing or unknown:
-                raise IngestError(
-                    f"taxonomy {args.taxonomy} must place each built-in feature in exactly "
-                    f"one category (weight 0 drops one from the scores): "
-                    f"missing {missing}, unknown {unknown}"
-                )
-        businesses = workspace.read_businesses()
-        ranked = rank_restaurants(businesses.values(), taxonomy, cutoff=args.cutoff)
-        frequency = feature_frequency(ranked, businesses, taxonomy)
-        workspace.begin_stage("rank")
-        workspace.write_taxonomy(taxonomy)
-        workspace.write_ranked(ranked.entries)
-        workspace.write_frequency(frequency)
-        workspace.record_stage("rank", {"cutoff": args.cutoff, "kept": len(ranked.entries)})
-    print(f"ranked {len(ranked.entries)} restaurants (cutoff {args.cutoff})")
-    return 0
-
-
-def cmd_score(args) -> int:
-    workspace = Workspace(args.workspace)
-    with workspace.lock():
-        workspace.require_stage("rank")
-        if args.k < 1:
-            raise IngestError("--k must be at least 1")
-        workspace.read_taxonomy()  # only checked: score does not use it
-        lexicon = SentimentLexicon.load(args.lexicon)
-        lexicon_sha256 = file_sha256(args.lexicon)
-        cohort_ids = frozenset(e.business_id for e in workspace.read_ranked())
-        # Unnamed, so the review list is freed once the documents are built.
-        documents = build_star_documents(workspace.read_reviews(cohort_ids), cohort_ids)
-        if not documents:
+def cmd_rank(args, workspace) -> str:
+    workspace.require_stage("ingest")
+    if args.cutoff < 0:
+        raise IngestError("--cutoff must be zero or positive")
+    if args.taxonomy is None:
+        taxonomy = DEFAULT_TAXONOMY
+    else:
+        taxonomy = FeatureTaxonomy.load(args.taxonomy)
+        missing = sorted(DEFAULT_TAXONOMY.universe - taxonomy.universe)
+        unknown = sorted(taxonomy.universe - DEFAULT_TAXONOMY.universe)
+        if missing or unknown:
             raise IngestError(
-                f"none of the {len(cohort_ids)} ranked restaurants has a review; "
-                "there is nothing to score"
+                f"taxonomy {args.taxonomy} must place each built-in feature in exactly "
+                f"one category (weight 0 drops one from the scores): "
+                f"missing {missing}, unknown {unknown}"
             )
-        stats = CorpusStats.from_documents(documents)
-        profiles = build_topic_profiles(documents, stats, k=args.k, lexicon=lexicon)
-        scores = cohort_scores(profiles)
-        workspace.begin_stage("score")
-        workspace.write_topics(profiles)
-        workspace.write_cohort_scores(scores)
-        workspace.write_corpus_stats(stats)
-        workspace.record_stage("score", {
-            "documents": len(documents),
-            "k": args.k,
-            # Absolute, so compare finds the lexicon from any directory.
-            "lexicon_path": os.path.abspath(args.lexicon),
-            "lexicon_sha256": lexicon_sha256,
-        })
+    businesses = workspace.read_businesses()
+    ranked = rank_restaurants(businesses.values(), taxonomy, cutoff=args.cutoff)
+    frequency = feature_frequency(ranked, businesses, taxonomy)
+    workspace.begin_stage("rank")
+    workspace.write_taxonomy(taxonomy)
+    workspace.write_ranked(ranked.entries)
+    workspace.write_frequency(frequency)
+    workspace.record_stage("rank", {"cutoff": args.cutoff, "kept": len(ranked.entries)})
+    return f"ranked {len(ranked.entries)} restaurants (cutoff {args.cutoff})\n"
+
+
+def cmd_score(args, workspace) -> str:
+    workspace.require_stage("rank")
+    if args.k < 1:
+        raise IngestError("--k must be at least 1")
+    lexicon = SentimentLexicon.load(args.lexicon)
+    lexicon_sha256 = file_sha256(args.lexicon)
+    cohort_ids = frozenset(e.business_id for e in workspace.read_ranked())
+    # Unnamed, so the review list is freed once the documents are built.
+    documents = build_star_documents(workspace.read_reviews(cohort_ids), cohort_ids)
+    if not documents:
+        raise IngestError(
+            f"none of the {len(cohort_ids)} ranked restaurants has a review; "
+            "there is nothing to score"
+        )
+    stats = CorpusStats.from_documents(documents)
+    profiles = build_topic_profiles(documents, stats, k=args.k, lexicon=lexicon)
+    scores = cohort_scores(profiles)
+    workspace.begin_stage("score")
+    workspace.write_topics(profiles)
+    workspace.write_cohort_scores(scores)
+    workspace.write_corpus_stats(stats)
+    workspace.record_stage("score", {
+        "documents": len(documents),
+        "k": args.k,
+        # Absolute, so compare finds the lexicon from any directory.
+        "lexicon_path": os.path.abspath(args.lexicon),
+        "lexicon_sha256": lexicon_sha256,
+    })
     lines = [f"scored {len(documents)} star documents over {len(cohort_ids)} restaurants"]
     for stars in sorted(scores.combined):
         lines.append(
             f"  stars={stars} combined={scores.combined[stars]} "
             f"average={scores.average[stars]:.6f}"
         )
-    print("\n".join(lines))
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def cmd_compare(args) -> int:
-    workspace = Workspace(args.workspace)
-    with workspace.lock():
-        score = workspace.require_stage("score")["score"]
-        taxonomy = workspace.read_taxonomy()
-        if file_sha256(score["lexicon_path"]) != score["lexicon_sha256"]:
-            raise StaleWorkspaceError(
-                f"lexicon {score['lexicon_path']} changed since the score command; "
-                "re-run score"
-            )
-        lexicon = SentimentLexicon.load(score["lexicon_path"])
-        pair_ids = frozenset((args.a, args.b))
-        businesses = workspace.read_businesses(pair_ids)
-        for business_id in (args.a, args.b):
-            if business_id not in businesses:
-                raise IngestError(f"unknown business id: {business_id}")
-        stats = workspace.read_corpus_stats()
-        reviews = workspace.read_reviews(pair_ids)
-        documents = build_star_documents(reviews, pair_ids)
-        profiles = build_topic_profiles(
-            documents, stats, k=score["k"], lexicon=lexicon
+def cmd_compare(args, workspace) -> str:
+    score = workspace.require_stage("score")["score"]
+    taxonomy = workspace.read_taxonomy()
+    if file_sha256(score["lexicon_path"]) != score["lexicon_sha256"]:
+        raise StaleWorkspaceError(
+            f"lexicon {score['lexicon_path']} changed since the score command; re-run score"
         )
-        report = build_disparity_report(
-            businesses[args.a],
-            businesses[args.b],
-            profiles_a=[p for p in profiles if p.business_id == args.a],
-            profiles_b=[p for p in profiles if p.business_id == args.b],
-            taxonomy=taxonomy,
-        )
-    if args.fmt == "text":
-        print(render_text(report), end="")
-    else:
-        print(report.to_json(), end="")
-    return 0
-
-
-_COMMANDS = {
-    "ingest": cmd_ingest,
-    "rank": cmd_rank,
-    "score": cmd_score,
-    "compare": cmd_compare,
-}
+    lexicon = SentimentLexicon.load(score["lexicon_path"])
+    pair_ids = frozenset((args.a, args.b))
+    businesses = workspace.read_businesses(pair_ids)
+    for business_id in (args.a, args.b):
+        if business_id not in businesses:
+            raise IngestError(f"unknown business id: {business_id}")
+    stats = workspace.read_corpus_stats()
+    documents = build_star_documents(workspace.read_reviews(pair_ids), pair_ids)
+    profiles = build_topic_profiles(documents, stats, k=score["k"], lexicon=lexicon)
+    report = build_disparity_report(
+        businesses[args.a],
+        businesses[args.b],
+        profiles_a=[p for p in profiles if p.business_id == args.a],
+        profiles_b=[p for p in profiles if p.business_id == args.b],
+        taxonomy=taxonomy,
+    )
+    return render_text(report) if args.fmt == "text" else report.to_json()
 
 
 def main(argv=None) -> int:
@@ -226,8 +203,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # Flag mistakes are input errors (exit 1), not stale-workspace errors.
         return 0 if exc.code in (0, None) else 1
+    workspace = Workspace(args.workspace)
     try:
-        return _COMMANDS[args.command](args)
+        if args.command == "ingest":
+            # The only command that creates a workspace; the others need ingest's.
+            workspace.root.mkdir(parents=True, exist_ok=True)
+        with workspace.lock():
+            output = args.run(args, workspace)
+        sys.stdout.write(output)
+        return 0
     except StaleWorkspaceError as exc:
         print(f"ratingsift: {exc}", file=sys.stderr)
         return 2

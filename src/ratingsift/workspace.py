@@ -299,7 +299,7 @@ def _decoding(path: Path):
     the stage that rewrites it; ingest rewrites the manifest."""
     try:
         yield
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, RecursionError, TypeError, ValueError) as exc:
         stage = _WRITER.get(path.name, "ingest")
         raise StaleWorkspaceError(
             f"workspace {path.parent}: {path.name} is damaged ({exc}); re-run {stage}"
@@ -323,9 +323,9 @@ def _open_in_place(path, flags: int) -> int:
     return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
-def _write_csv(path: Path, header: list, rows: Iterable, delimiter: str = ",") -> None:
+def _write_csv(path: Path, header: list, rows: Iterable) -> None:
     with _create(path) as handle:
-        writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
+        writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 

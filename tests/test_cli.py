@@ -1,5 +1,6 @@
 """Command line pipeline behavior and exit codes."""
 
+import contextlib
 import hashlib
 import json
 import math
@@ -13,6 +14,7 @@ import pytest
 
 from ratingsift import Workspace, alcohol_amenity_taxonomy, cli
 from ratingsift.cli import main
+from ratingsift.workspace import STAGES
 
 from conftest import (
     REFERENCE_A_FEATURES,
@@ -68,6 +70,27 @@ WRITES = [
     ("score", "write_cohort_scores", "cohort_scores_path"),
     ("score", "write_corpus_stats", "corpus_stats_path"),
 ]
+
+
+# Each command run to each exit code, from the stage run before it (or an
+# empty workspace directory, held locked by another command for "locked"),
+# with the flags changed from pipeline_steps. Ingest needs no earlier stage,
+# so that lock is its one exit 2. Rank and score on a workspace without
+# their stage exit 2 even with a bad flag: the stage is checked first.
+RUN_SITE = {
+    ("ingest", 0): (None, {}),
+    ("ingest", 1): (None, {"--business": "no/such/business.json"}),
+    ("ingest", 2): ("locked", {}),
+    ("rank", 0): ("ingest", {}),
+    ("rank", 1): ("ingest", {"--cutoff": "-1"}),
+    ("rank", 2): ("mkdir", {"--cutoff": "-1"}),
+    ("score", 0): ("rank", {}),
+    ("score", 1): ("rank", {"--k": "0"}),
+    ("score", 2): ("ingest", {"--k": "0"}),
+    ("compare", 0): ("score", {}),
+    ("compare", 1): ("score", {"--b": "no_such_id"}),
+    ("compare", 2): ("rank", {}),
+}
 
 
 def pipeline_steps(data_dir, lexicon_file, workspace):
@@ -416,10 +439,16 @@ class TestExitCodes:
         # parses to the same taxonomy, but is not the bytes rank wrote
         (lambda ws: _replace(ws / "taxonomy.cfg", "weight = ", "weight =  "),
          "compare", "taxonomy.cfg", "rank"),
+        # Nested past the interpreter's recursion limit.
+        (lambda ws: (ws / "manifest.json").write_text("[" * 100_000, encoding="utf-8"),
+         "rank", "manifest.json", "ingest"),
+        (lambda ws: _append(ws / "reviews.jsonl", '{"business_id":"ref_a","x":' + "[" * 100_000),
+         "compare", "reviews.jsonl", "ingest"),
     ], ids=["short_ranked_row", "stats_without_df", "stats_deleted", "older_manifest",
             "stats_df_negative", "stats_df_over_n_docs", "manifest_without_digests",
             "manifest_files_as_list", "ranked_row_deleted", "stats_every_df_n",
-            "taxonomy_weight_edited", "taxonomy_whitespace_edited"])
+            "taxonomy_weight_edited", "taxonomy_whitespace_edited",
+            "manifest_deeply_nested", "review_deeply_nested"])
     def test_damaged_workspace_names_the_file(
         self, data_dir, lexicon_file, tmp_path, capsys, damage, command, named, rerun
     ):
@@ -430,6 +459,23 @@ class TestExitCodes:
         assert main(pipeline_steps(data_dir, lexicon_file, ws)[command]) == 2
         err = capsys.readouterr().err
         assert named in err and f"re-run {rerun}" in err
+
+    def test_score_reads_no_taxonomy(self, data_dir, lexicon_file, tmp_path, capsys):
+        # Score's output depends only on ranked.csv, reviews.jsonl and the
+        # lexicon; compare, which reads taxonomy.cfg, catches its edit.
+        ws = tmp_path / "ws"
+        run_pipeline(data_dir, lexicon_file, ws, through="score")
+        written = {name: (ws / name).read_bytes() for name in STAGES["score"]}
+        for name in STAGES["score"]:
+            (ws / name).unlink()
+        _replace(ws / "taxonomy.cfg", "weight = ", "weight =  ")
+        steps = pipeline_steps(data_dir, lexicon_file, ws)
+        assert main(steps["score"]) == 0
+        assert {name: (ws / name).read_bytes() for name in STAGES["score"]} == written
+        capsys.readouterr()
+        assert main(steps["compare"]) == 2
+        err = capsys.readouterr().err
+        assert "taxonomy.cfg" in err and "re-run rank" in err
 
     @pytest.mark.parametrize("name,command", [
         ("reviews.jsonl", "compare"), ("reviews.jsonl", "score"),
@@ -495,6 +541,26 @@ class TestExitCodes:
         assert main(["rank", "--workspace", str(ws)]) == 0
         assert main(["score", "--workspace", str(ws),
                      "--lexicon", str(lexicon_file), "--k", "0"]) == 1
+
+    @pytest.mark.parametrize("command,code", RUN_SITE, ids=[f"{c}-{x}" for c, x in RUN_SITE])
+    def test_output_follows_the_lock(
+        self, data_dir, lexicon_file, tmp_path, monkeypatch, command, code
+    ):
+        ws = tmp_path / "ws"
+        before, flags = RUN_SITE[command, code]
+        if before in ("mkdir", "locked"):
+            ws.mkdir()
+        elif before is not None:
+            run_pipeline(data_dir, lexicon_file, ws, through=before)
+        argv = pipeline_steps(data_dir, lexicon_file, ws)[command]
+        for flag, value in flags.items():
+            argv[argv.index(flag) + 1] = value
+        stdout = _StdoutAfterLock(ws / ".lock")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        with Workspace(ws).lock() if before == "locked" else contextlib.nullcontext():
+            assert main(argv) == code
+        assert not (ws / ".lock").exists()
+        assert bool(stdout.written) == (code == 0)
 
     def test_usage_errors_are_input_errors(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -616,6 +682,19 @@ GOLDEN = {
 }
 
 
+class _StdoutAfterLock:
+    """A stdout that fails any write made while ``lock_path`` exists."""
+
+    def __init__(self, lock_path):
+        self.lock_path = lock_path
+        self.written = []
+
+    def write(self, text):
+        assert not self.lock_path.exists(), "stdout written while the lock was held"
+        self.written.append(text)
+        return len(text)
+
+
 def _sha256(data):
     return hashlib.sha256(data).hexdigest()
 
@@ -664,6 +743,11 @@ def _replace(path, old, new):
     text = path.read_text(encoding="utf-8")
     assert old in text
     path.write_text(text.replace(old, new), encoding="utf-8")
+
+
+def _append(path, line):
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(line + "\n")
 
 
 def _drop_key(path, key):
