@@ -9,11 +9,18 @@ counter, so parsed + skipped always equals the line count.
 Run from the repository root:  python demos/01_ingest_and_flatten.py
 """
 
+import json
 from pathlib import Path
 
 from ratingsift import load_businesses, load_reviews, parse_attribute_value
 
 DATA = Path(__file__).parent / "data"
+
+
+def _dump_line(business_id):
+    """The first line of the business dump that holds ``business_id``."""
+    with open(DATA / "businesses.jsonl", encoding="utf-8") as handle:
+        return next(line for line in handle if json.loads(line)["business_id"] == business_id)
 
 
 def main():
@@ -27,11 +34,14 @@ def main():
     print("=== one record, start to finish ===")
     record = businesses["canal_house"]
     print(f"{record.name} ({record.business_id}), overall {record.overall_stars} stars")
+    # The record keeps only the flattened features; the raw strings are in
+    # the dump's line for this business.
+    raw_attributes = json.loads(_dump_line(record.business_id))["attributes"]
     print("raw attributes as they appear in the dump:")
-    for attr, raw in sorted(record.raw_attributes.items())[:6]:
+    for attr, raw in sorted(raw_attributes.items())[:6]:
         parsed = parse_attribute_value(raw)
         print(f"  {attr:28s} {raw!r:44s} -> {parsed!r}")
-    print(f"  ... {len(record.raw_attributes) - 6} more")
+    print(f"  ... {len(raw_attributes) - 6} more")
     print()
     print(f"flattened into {len(record.features)} canonical feature names:")
     print(" ", ", ".join(sorted(record.features)))

@@ -13,7 +13,8 @@ entries with quoted or bare keys. Any other Python literal syntax is an
 opaque string token, counted as a fallback. Raw values repeat heavily, so
 each business parse keeps a cache of at most 4096 flattened values, which
 bounds its memory; the counters stay exact because cached counts are added
-on every use.
+on every use. A business record keeps the flattened features, not the raw
+strings, and only restaurants are kept.
 """
 
 import functools
@@ -99,20 +100,17 @@ class ReviewCounters:
 
 @dataclass(frozen=True)
 class BusinessRecord:
-    """One business, immutable once constructed.
+    """One restaurant, immutable once constructed.
 
-    ``raw_attributes`` holds the attribute map exactly as read (values as
-    strings); ``features`` is the flattened canonical feature set, always a
-    subset of the built-in features.
+    ``features`` is the flattened canonical feature set, always a subset of
+    the built-in features; the raw attribute strings are not kept.
     """
 
     business_id: str
     name: str
     overall_stars: float
     review_count: int
-    raw_attributes: dict[str, str]
     features: frozenset[str]
-    is_restaurant: bool
 
     # Both record types serialize from vars(): dataclasses.asdict would
     # deep-copy every value, and these run once per record written.
@@ -222,10 +220,10 @@ def normalize_flag(value: AttributeValue, attribute_name: str) -> bool:
 
 
 def flatten_features(
-    record: BusinessRecord, counters: BusinessCounters | None = None
+    raw_attributes: dict[str, str], counters: BusinessCounters | None = None
 ) -> frozenset[str]:
-    """Flatten a record's raw attributes into canonical feature names."""
-    return _flatten_raw(record.raw_attributes, counters, _flatten_attribute)
+    """Flatten a raw attribute map, as in the dump, into canonical feature names."""
+    return _flatten_raw(raw_attributes, counters, _flatten_attribute)
 
 
 def _flatten_attribute(attr_name: str, raw: str) -> _Flattened:
@@ -253,7 +251,7 @@ def _flatten_raw(
     counters: BusinessCounters | None,
     flatten_attribute: Callable[[str, str], _Flattened],
 ) -> frozenset[str]:
-    """Core of flatten_features, working on the raw attribute map.
+    """Core of flatten_features.
 
     Top-level leaf attributes map to their lowercased name; map-valued
     attributes (BusinessParking, GoodForMeal, Ambience) contribute the inner
@@ -312,18 +310,17 @@ def _stringify_attribute(value) -> str:
 
 def _is_restaurant(categories) -> bool:
     if isinstance(categories, str):
-        names = categories.split(",")
-    elif isinstance(categories, list):
-        names = [str(c) for c in categories]
-    else:
+        categories = categories.split(",")
+    elif not isinstance(categories, list):
         return False
-    return any(name.strip().lower() == "restaurants" for name in names)
+    return any(str(name).strip().lower() == "restaurants" for name in categories)
 
 
 def _build_business(
     obj: dict, counters: BusinessCounters, flatten_attribute: Callable[[str, str], _Flattened]
 ) -> BusinessRecord | None:
-    """Build a record from one decoded JSON object; None when malformed."""
+    """Build a record from one decoded JSON object; None when malformed. The
+    categories are not read, so a non-restaurant's attributes count too."""
     business_id = obj.get("business_id")
     # ranked.csv could not hold "\r" (csv leaves it bare before Python 3.13)
     # or NUL (csv refuses it on 3.10), so such an id is malformed.
@@ -352,29 +349,24 @@ def _build_business(
         name=name if isinstance(name, str) else "",
         overall_stars=float(stars),
         review_count=review_count,
-        raw_attributes=raw_attributes,
         features=_flatten_raw(raw_attributes, counters, flatten_attribute),
-        is_restaurant=_is_restaurant(obj.get("categories")),
     )
 
 
 def parse_businesses(
     stream: Union[IO, Iterable],
     counters: BusinessCounters | None = None,
-    restaurants_only: bool = True,
 ) -> Iterator[BusinessRecord]:
     """Stream-parse a JSON-lines business file.
 
     Args:
         stream: open file (text or binary) or any iterable of lines.
         counters: optional BusinessCounters, filled in place.
-        restaurants_only: skip (and count) businesses whose category list
-            does not include "Restaurants"; pass False to keep everything
-            and rely on ``is_restaurant``.
 
     Yields:
-        BusinessRecord per well-formed line. Blank lines are ignored;
-        malformed lines are skipped and counted, never fatal.
+        BusinessRecord per well-formed restaurant line. Blank lines are
+        ignored; malformed lines, then businesses whose category list does
+        not include "Restaurants", are skipped and counted, never fatal.
     """
     if counters is None:
         counters = BusinessCounters()
@@ -384,12 +376,11 @@ def parse_businesses(
         record = _build_business(obj, counters, flatten_attribute)
         if record is None:
             counters.skipped_malformed += 1
-            continue
-        if restaurants_only and not record.is_restaurant:
+        elif not _is_restaurant(obj.get("categories")):
             counters.skipped_non_restaurant += 1
-            continue
-        counters.parsed += 1
-        yield record
+        else:
+            counters.parsed += 1
+            yield record
 
 
 def parse_reviews(
@@ -440,9 +431,7 @@ def parse_reviews(
         )
 
 
-def load_businesses(
-    path, restaurants_only: bool = True
-) -> tuple[dict[str, BusinessRecord], BusinessCounters]:
+def load_businesses(path) -> tuple[dict[str, BusinessRecord], BusinessCounters]:
     """Parse a business file into an id-keyed dict.
 
     Enforces business_id uniqueness: the first occurrence wins and later
@@ -453,7 +442,7 @@ def load_businesses(
     records: dict[str, BusinessRecord] = {}
     try:
         with open(path, "rb") as handle:
-            for record in parse_businesses(handle, counters, restaurants_only):
+            for record in parse_businesses(handle, counters):
                 if record.business_id in records:
                     counters.skipped_duplicate_id += 1
                     continue

@@ -17,6 +17,9 @@ from importlib import resources
 from typing import Iterable, Mapping
 
 
+_MICRO = 1_000_000  # weights have at most six decimals: integers in millionths
+
+
 class UnknownFeatureError(ValueError):
     """Raised when a feature name is not part of the taxonomy universe."""
 
@@ -25,9 +28,9 @@ class UnknownFeatureError(ValueError):
 class FeatureTaxonomy:
     """Immutable category -> feature-name partition plus per-category weights.
 
-    Categories must be pairwise disjoint and weights finite and non-negative;
-    both are validated at construction. Instances are safe to share between
-    threads.
+    Categories must be pairwise disjoint and weights finite, non-negative
+    and of at most six decimals, so ``dumps`` loses nothing; all are
+    validated at construction. Instances are safe to share between threads.
     """
 
     categories: Mapping[str, frozenset[str]]
@@ -51,12 +54,18 @@ class FeatureTaxonomy:
                     )
                 seen[name] = category
         for category, weight in self.weights.items():
-            if not (math.isfinite(weight) and weight >= 0):
+            micro = weight * _MICRO
+            if not (math.isfinite(micro) and weight >= 0 and round(micro) / _MICRO == weight):
                 raise ValueError(
-                    f"category {category!r} needs a finite, non-negative weight, not {weight}"
+                    f"category {category!r} needs a finite, non-negative weight "
+                    f"of at most six decimals, not {weight}"
                 )
         # The one feature -> category table; universe and lookups read it.
         object.__setattr__(self, "_category", seen)
+        # Each feature's weight in millionths, for exact sums.
+        object.__setattr__(self, "_micro_weight", {
+            name: round(self.weights[category] * _MICRO) for name, category in seen.items()
+        })
 
     @property
     def universe(self) -> frozenset[str]:
@@ -144,12 +153,12 @@ def classify_feature(name: str, taxonomy: FeatureTaxonomy = DEFAULT_TAXONOMY) ->
 def weighted_feature_score(
     features: Iterable[str], taxonomy: FeatureTaxonomy = DEFAULT_TAXONOMY
 ) -> float:
-    """Sum of the owning category's weight over ``features``.
-
-    Summation runs in sorted name order so the result is bit-identical no
-    matter how the input set iterates.
-    """
-    return sum(taxonomy.weight_of(name) for name in sorted(features))
+    """Sum of the owning category's weight over ``features``, added in
+    millionths and divided once: the float nearest the exact decimal sum."""
+    try:
+        return sum(taxonomy._micro_weight[name] for name in features) / _MICRO
+    except KeyError as exc:
+        raise UnknownFeatureError(f"unknown feature name: {exc.args[0]!r}") from None
 
 
 @dataclass(frozen=True)

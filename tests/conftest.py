@@ -126,9 +126,7 @@ def make_business(business_id, features, stars=3.5, review_count=25):
         name=f"Place {business_id}",
         overall_stars=stars,
         review_count=review_count,
-        raw_attributes={},
         features=frozenset(features),
-        is_restaurant=True,
     )
 
 

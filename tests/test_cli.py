@@ -444,11 +444,15 @@ class TestExitCodes:
          "rank", "manifest.json", "ingest"),
         (lambda ws: _append(ws / "reviews.jsonl", '{"business_id":"ref_a","x":' + "[" * 100_000),
          "compare", "reviews.jsonl", "ingest"),
+        # Records in the layout of earlier versions, under a matching digest.
+        (lambda ws: _write_older_business_layout(ws), "rank", "businesses.jsonl", "ingest"),
+        (lambda ws: _write_older_business_layout(ws), "compare", "businesses.jsonl", "ingest"),
     ], ids=["short_ranked_row", "stats_without_df", "stats_deleted", "older_manifest",
             "stats_df_negative", "stats_df_over_n_docs", "manifest_without_digests",
             "manifest_files_as_list", "ranked_row_deleted", "stats_every_df_n",
             "taxonomy_weight_edited", "taxonomy_whitespace_edited",
-            "manifest_deeply_nested", "review_deeply_nested"])
+            "manifest_deeply_nested", "review_deeply_nested",
+            "older_business_layout_rank", "older_business_layout_compare"])
     def test_damaged_workspace_names_the_file(
         self, data_dir, lexicon_file, tmp_path, capsys, damage, command, named, rerun
     ):
@@ -663,14 +667,9 @@ GOLDEN = {
     "ingest stdout": "6b772b275851d633ca442ef5874538b392520c2584baae0ae849396d933e4511",
     "rank stdout": "df46c02368691db9a33ce150665c5b36eaf12f04686bc28a3c5a5903e13f53af",
     "score stdout": "d1c8ba1c78c6f4969aebd0c9eb675fee3bf060eb8ea793f97f264d0589d18257",
-    # From Python 3.12 on, sum() of floats is compensated, so the report's
-    # deficiency_b reads 4.1 there and 4.1000000000000005 before.
-    "compare stdout": (
-        "fd2e36c508116fb016a7d4b6a744beeb92beca35510b60e7470330ef084e78ab"
-        if sys.version_info >= (3, 12) else
-        "b18e072605d7b725fb6a53df382b60f7ddd5efc3ce7ee654b0bdb6b2b9d15811"
-    ),
-    "businesses.jsonl": "80c1c3854b27bcd2453867c4d0bf569d3397a55d6f72565b68b84f5ebbaea4a7",
+    # Deficiencies are exact decimal sums, so one digest holds on every version.
+    "compare stdout": "470b35491064a9443524f9ff5944c25f9fd5fb6c258a5576e07b45e924b9a1a1",
+    "businesses.jsonl": "10dff046c324685017b9e42c805a292388c0232b29fa74568edede84aede76a4",
     "reviews.jsonl": "8ac19450a2606b5cd1a5aea39f1dc42767297113cb2e7711596db7e8efe55f43",
     "ingest_summary.json": "6b772b275851d633ca442ef5874538b392520c2584baae0ae849396d933e4511",
     "taxonomy.cfg": "d9b0958ba1666d0c230c9446b00059996dcee389418becde2bf1739ade161f72",
@@ -808,6 +807,23 @@ def _list_ingest_files(path):
     manifest = json.loads(path.read_text(encoding="utf-8"))
     manifest["stages"]["ingest"]["files"] = sorted(manifest["stages"]["ingest"]["files"])
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _write_older_business_layout(ws):
+    """Rewrite businesses.jsonl as earlier versions wrote it, with each
+    record's raw attributes and restaurant flag, and record its digest in
+    the manifest, so only the record layout is old."""
+    path = ws / "businesses.jsonl"
+    old_fields = {"is_restaurant": True, "raw_attributes": {"HasTV": "True"}}
+    lines = [
+        json.dumps({**json.loads(line), **old_fields}, sort_keys=True, separators=(",", ":"))
+        for line in path.read_text(encoding="utf-8").splitlines()
+    ]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    manifest = json.loads((ws / "manifest.json").read_text(encoding="utf-8"))
+    manifest["stages"]["ingest"]["files"]["businesses.jsonl"] = _sha256(path.read_bytes())
+    (ws / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+                                      encoding="utf-8")
 
 
 def _write_older_manifest(path):

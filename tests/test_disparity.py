@@ -3,12 +3,15 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratingsift import (
     FAVORED_A,
     FAVORED_B,
     INCONCLUSIVE,
     DisparityReport,
+    FeatureTaxonomy,
     alcohol_amenity_taxonomy,
     build_disparity_report,
     compare_features,
@@ -61,6 +64,32 @@ class TestWeightedDeficiency:
 
     def test_empty_gap(self):
         assert weighted_deficiency(frozenset()) == 0.0
+
+    def test_equal_decimal_sums_tie(self):
+        # a lacks alcohol, businessacceptscreditcards and caters (1.0 + 0.7 +
+        # 0.7), b lacks bikeparking, garage and lot (3 x 0.8): 2.4 both ways,
+        # so better sentiment alone cannot favor a.
+        a = make_business("a", {"bikeparking", "garage", "lot"})
+        b = make_business("b", {"alcohol", "businessacceptscreditcards", "caters"})
+        report = build_disparity_report(a, b, {5: 3}, {5: 1})
+        assert report.deficiency_a == report.deficiency_b == 2.4
+        assert report.verdict == INCONCLUSIVE
+
+    @given(st.lists(st.integers(0, 5_000_000), min_size=1, max_size=6), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_equal_decimal_sums_give_equal_deficiencies(self, micro_a, data):
+        # Gap b splits the sum of gap a's weights, in millionths, at random
+        # points; each feature is its own category.
+        total = sum(micro_a)
+        cuts = sorted(data.draw(st.lists(st.integers(0, total), max_size=5)))
+        micro = [*micro_a, *(hi - lo for lo, hi in zip([0, *cuts], [*cuts, total]))]
+        taxonomy = FeatureTaxonomy(
+            categories={f"c{i}": frozenset({f"f{i}"}) for i in range(len(micro))},
+            weights={f"c{i}": m / 1_000_000 for i, m in enumerate(micro)},
+        )
+        gap_a = {f"f{i}" for i in range(len(micro_a))}
+        gap_b = {f"f{i}" for i in range(len(micro_a), len(micro))}
+        assert weighted_deficiency(gap_a, taxonomy) == weighted_deficiency(gap_b, taxonomy)
 
 
 class TestSentimentDelta:

@@ -142,12 +142,6 @@ class TestNormalizeFlag:
 
 
 class TestFlattenFeatures:
-    def _record(self, attrs):
-        return BusinessRecord(
-            business_id="b1", name="B", overall_stars=3.0, review_count=1,
-            raw_attributes=attrs, features=frozenset(), is_restaurant=True,
-        )
-
     def test_scalar_and_map_attributes_combine(self):
         attrs = {
             "HasTV": "True",
@@ -155,24 +149,24 @@ class TestFlattenFeatures:
             "BusinessParking": "{'garage': False, 'street': True}",
             "Ambience": "{'classy': True, 'hipster': False}",
         }
-        features = flatten_features(self._record(attrs))
+        features = flatten_features(attrs)
         assert features == {"hastv", "wifi", "street", "classy"}
 
     def test_absent_values_do_not_contribute(self):
         attrs = {"HasTV": "False", "WiFi": "u'no'", "Alcohol": "u'none'"}
-        assert flatten_features(self._record(attrs)) == frozenset()
+        assert flatten_features(attrs) == frozenset()
 
     def test_unknown_names_counted_not_kept(self):
         counters = BusinessCounters()
         attrs = {"DogsAllowed": "True", "Ambience": "{'divey': True, 'classy': True}"}
-        features = flatten_features(self._record(attrs), counters=counters)
+        features = flatten_features(attrs, counters=counters)
         assert features == {"classy"}
         assert counters.unknown_feature_names == 2
 
     def test_map_containers_are_structural(self):
         counters = BusinessCounters()
         attrs = {"BusinessParking": "{'lot': True}"}
-        features = flatten_features(self._record(attrs), counters=counters)
+        features = flatten_features(attrs, counters=counters)
         assert features == {"lot"}
         # the container name itself is not an unknown feature
         assert counters.unknown_feature_names == 0
@@ -180,13 +174,12 @@ class TestFlattenFeatures:
     def test_opaque_fallback_value_is_absent(self):
         counters = BusinessCounters()
         attrs = {"HasTV": "definitely"}
-        assert flatten_features(self._record(attrs), counters=counters) == frozenset()
+        assert flatten_features(attrs, counters=counters) == frozenset()
         assert counters.attribute_fallbacks == 1
 
     def test_attributes_for_builder_is_exact(self):
         for wanted in (REFERENCE_A_FEATURES, REFERENCE_B_FEATURES, frozenset()):
-            record = self._record(attributes_for(wanted))
-            assert flatten_features(record) == wanted
+            assert flatten_features(attributes_for(wanted)) == wanted
 
 
 class TestParseBusinesses:
@@ -219,17 +212,6 @@ class TestParseBusinesses:
         records = list(parse_businesses(lines, counters=counters))
         assert [r.business_id for r in records] == ["b1"]
         assert counters.skipped_non_restaurant == 2
-
-    def test_restaurants_only_false_keeps_everything(self):
-        lines = [
-            business_line("b1", categories="Restaurants"),
-            business_line("b2", categories="Auto Repair"),
-        ]
-        counters = BusinessCounters()
-        records = list(parse_businesses(lines, counters=counters, restaurants_only=False))
-        assert [r.business_id for r in records] == ["b1", "b2"]
-        assert records[1].is_restaurant is False
-        assert counters.skipped_non_restaurant == 0
 
     def test_categories_as_json_list(self):
         lines = [
@@ -578,9 +560,10 @@ def test_bare_keys_read_like_quoted_keys(entries):
 @settings(max_examples=60, deadline=None)
 def test_business_counter_exactness_property(lines):
     counters = BusinessCounters()
-    list(parse_businesses(lines, counters=counters, restaurants_only=False))
+    list(parse_businesses(lines, counters=counters))
     non_blank = sum(1 for l in lines if l.strip())
-    assert counters.parsed + counters.skipped_malformed == non_blank
+    total = counters.parsed + counters.skipped_malformed + counters.skipped_non_restaurant
+    assert total == non_blank
 
 
 @given(st.lists(st.text(max_size=60), max_size=20))
@@ -617,7 +600,7 @@ def test_cached_flatten_matches_uncached(attribute_maps):
     counters = BusinessCounters()
     records = list(parse_businesses(lines, counters=counters))
     per_record = BusinessCounters()  # summed over the records by the uncached path
-    for record in records:
-        assert record.features == flatten_features(record, per_record)
+    for record, attrs in zip(records, attribute_maps, strict=True):
+        assert record.features == flatten_features(attrs, per_record)
     assert counters.attribute_fallbacks == per_record.attribute_fallbacks
     assert counters.unknown_feature_names == per_record.unknown_feature_names

@@ -71,8 +71,9 @@ class TestValidation:
                 weights={"x": 1.0, "y": 2.0},
             )
 
-    @pytest.mark.parametrize("weight", [-0.1, float("nan"), float("inf"), float("-inf")],
-                             ids=["-0.1", "nan", "inf", "-inf"])
+    @pytest.mark.parametrize("weight", [-0.1, float("nan"), float("inf"), float("-inf"),
+                                        1.0000004],
+                             ids=["-0.1", "nan", "inf", "-inf", "1.0000004"])
     def test_negative_weight_rejected(self, weight):
         with pytest.raises(ValueError):
             FeatureTaxonomy(
