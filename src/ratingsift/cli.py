@@ -101,7 +101,6 @@ def cmd_ingest(args, workspace) -> str:
     workspace.record_stage("ingest", {
         "businesses": business_counters.parsed,
         "reviews": review_counters.parsed,
-        "tool_version": __version__,
     })
     return json.dumps(summary, indent=2, sort_keys=True) + "\n"
 

@@ -14,7 +14,8 @@ opaque string token, counted as a fallback. Raw values repeat heavily, so
 each business parse keeps a cache of at most 4096 flattened values, which
 bounds its memory; the counters stay exact because cached counts are added
 on every use. A business record keeps the flattened features, not the raw
-strings, and only restaurants are kept.
+strings, and only restaurants are kept. A review record keeps its business,
+stars and text; its id is read only to drop duplicates.
 """
 
 import functools
@@ -86,7 +87,7 @@ class BusinessCounters:
 class ReviewCounters:
     """Line accounting for a review parse pass; same exactness contract.
     As for businesses, ``skipped_duplicate_id`` is only touched by
-    ``load_reviews``."""
+    ``load_reviews``, which reads the review ids the records do not keep."""
 
     parsed: int = 0
     skipped_malformed: int = 0
@@ -124,14 +125,11 @@ class BusinessRecord:
 
 @dataclass(frozen=True)
 class ReviewRecord:
-    """One review; ``date`` is retained for provenance but unused by scoring."""
+    """One review, as score and compare read it; no id, user or date is kept."""
 
-    review_id: str
     business_id: str
-    user_id: str
     stars: int
     text: str
-    date: str
 
     def to_json_dict(self) -> dict:
         return dict(vars(self))
@@ -383,6 +381,32 @@ def parse_businesses(
             yield record
 
 
+def _build_review(obj: dict, counters: ReviewCounters, known: set[str]) -> ReviewRecord | None:
+    """Build a record from one decoded JSON object; None once its skip is
+    counted. The review id must be a non-empty string but is not kept."""
+    business_id = obj.get("business_id")
+    raw_stars = obj.get("stars")
+    if not all(isinstance(key, str) and key for key in (obj.get("review_id"), business_id)) or (
+        not isinstance(raw_stars, (int, float)) or isinstance(raw_stars, bool)
+    ):
+        counters.skipped_malformed += 1
+        return None
+    # Range first: NaN, infinity and ints too big for float() fail it.
+    if not 1 <= raw_stars <= 5 or raw_stars != int(raw_stars):
+        counters.skipped_bad_stars += 1
+        return None
+    if business_id not in known:
+        counters.skipped_unknown_business += 1
+        return None
+    text = obj.get("text")
+    counters.parsed += 1
+    return ReviewRecord(
+        business_id=business_id,
+        stars=int(raw_stars),
+        text=text if isinstance(text, str) else "",
+    )
+
+
 def parse_reviews(
     stream: Union[IO, Iterable],
     known_business_ids: Iterable[str],
@@ -398,37 +422,9 @@ def parse_reviews(
         counters = ReviewCounters()
     known = set(known_business_ids)
     for obj in _iter_objects(stream, counters):
-        review_id = obj.get("review_id")
-        business_id = obj.get("business_id")
-        if not isinstance(review_id, str) or not review_id:
-            counters.skipped_malformed += 1
-            continue
-        if not isinstance(business_id, str) or not business_id:
-            counters.skipped_malformed += 1
-            continue
-        raw_stars = obj.get("stars")
-        if not isinstance(raw_stars, (int, float)) or isinstance(raw_stars, bool):
-            counters.skipped_malformed += 1
-            continue
-        # Range first: NaN, infinity and ints too big for float() fail it.
-        if not 1 <= raw_stars <= 5 or raw_stars != int(raw_stars):
-            counters.skipped_bad_stars += 1
-            continue
-        if business_id not in known:
-            counters.skipped_unknown_business += 1
-            continue
-        text = obj.get("text")
-        user_id = obj.get("user_id")
-        date = obj.get("date")
-        counters.parsed += 1
-        yield ReviewRecord(
-            review_id=review_id,
-            business_id=business_id,
-            user_id=user_id if isinstance(user_id, str) else "",
-            stars=int(raw_stars),
-            text=text if isinstance(text, str) else "",
-            date=date if isinstance(date, str) else "",
-        )
+        record = _build_review(obj, counters, known)
+        if record is not None:
+            yield record
 
 
 def load_businesses(path) -> tuple[dict[str, BusinessRecord], BusinessCounters]:
@@ -459,19 +455,24 @@ def load_reviews(
     """Parse a review file into a list, dropping reviews for unknown ids.
 
     Enforces review_id uniqueness as ``load_businesses`` does for business
-    ids: the first occurrence wins and later duplicates are counted in
-    ``skipped_duplicate_id`` (and remain counted as parsed).
+    ids, before the id is dropped from the record: the first valid occurrence
+    wins and later duplicates are counted in ``skipped_duplicate_id`` (and
+    remain counted as parsed). A skipped line claims no id.
     """
     counters = ReviewCounters()
     reviews: list[ReviewRecord] = []
     seen: set[str] = set()
+    known = set(known_business_ids)
     try:
         with open(path, "rb") as handle:
-            for review in parse_reviews(handle, known_business_ids, counters):
-                if review.review_id in seen:
+            for obj in _iter_objects(handle, counters):
+                review = _build_review(obj, counters, known)
+                if review is None:
+                    continue
+                if obj["review_id"] in seen:
                     counters.skipped_duplicate_id += 1
                     continue
-                seen.add(review.review_id)
+                seen.add(obj["review_id"])
                 reviews.append(review)
     except OSError as exc:
         raise IngestError(f"cannot read review file {path}: {exc}") from exc

@@ -37,7 +37,7 @@ _WRITER = {name: stage for stage, names in STAGES.items() for name in names}
 # The keys of each stage's manifest entry: its counts, the settings later
 # stages read, and "files", the SHA-256 of each artifact the stage wrote.
 ENTRY_KEYS = {
-    "ingest": {"businesses", "files", "reviews", "tool_version"},
+    "ingest": {"businesses", "files", "reviews"},
     "rank": {"cutoff", "files", "kept"},
     "score": {"documents", "files", "k", "lexicon_path", "lexicon_sha256"},
 }

@@ -130,15 +130,8 @@ def make_business(business_id, features, stars=3.5, review_count=25):
     )
 
 
-def make_review(review_id, business_id, stars, text):
-    return ReviewRecord(
-        review_id=review_id,
-        business_id=business_id,
-        user_id="user001",
-        stars=stars,
-        text=text,
-        date="2016-05-01",
-    )
+def make_review(business_id, stars, text):
+    return ReviewRecord(business_id=business_id, stars=stars, text=text)
 
 
 @pytest.fixture

@@ -266,12 +266,10 @@ def test_criterion_08_cohort_scores_increase_with_stars(criterion):
         )
         cohort_ids = ["rsta", "rstb", "rstc"]
         reviews = []
-        rid = 0
         for business_id in cohort_ids:
             for stars, words in star_words.items():
                 text = " ".join(w for w, _ in words)
-                reviews.append(make_review(f"r{rid:03d}", business_id, stars, text))
-                rid += 1
+                reviews.append(make_review(business_id, stars, text))
         documents = build_star_documents(reviews, cohort_ids)
         stats = CorpusStats.from_documents(documents)
         profiles = build_topic_profiles(documents, stats, k=10, lexicon=lexicon)

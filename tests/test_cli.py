@@ -445,14 +445,23 @@ class TestExitCodes:
         (lambda ws: _append(ws / "reviews.jsonl", '{"business_id":"ref_a","x":' + "[" * 100_000),
          "compare", "reviews.jsonl", "ingest"),
         # Records in the layout of earlier versions, under a matching digest.
-        (lambda ws: _write_older_business_layout(ws), "rank", "businesses.jsonl", "ingest"),
-        (lambda ws: _write_older_business_layout(ws), "compare", "businesses.jsonl", "ingest"),
+        (lambda ws: _write_older_layout(ws, "businesses.jsonl"),
+         "rank", "businesses.jsonl", "ingest"),
+        (lambda ws: _write_older_layout(ws, "businesses.jsonl"),
+         "compare", "businesses.jsonl", "ingest"),
+        (lambda ws: _write_older_layout(ws, "reviews.jsonl"),
+         "score", "reviews.jsonl", "ingest"),
+        (lambda ws: _write_older_layout(ws, "reviews.jsonl"),
+         "compare", "reviews.jsonl", "ingest"),
+        (lambda ws: _add_tool_version(ws / "manifest.json"), "rank", "manifest.json", "ingest"),
     ], ids=["short_ranked_row", "stats_without_df", "stats_deleted", "older_manifest",
             "stats_df_negative", "stats_df_over_n_docs", "manifest_without_digests",
             "manifest_files_as_list", "ranked_row_deleted", "stats_every_df_n",
             "taxonomy_weight_edited", "taxonomy_whitespace_edited",
             "manifest_deeply_nested", "review_deeply_nested",
-            "older_business_layout_rank", "older_business_layout_compare"])
+            "older_business_layout_rank", "older_business_layout_compare",
+            "older_review_layout_score", "older_review_layout_compare",
+            "manifest_with_tool_version"])
     def test_damaged_workspace_names_the_file(
         self, data_dir, lexicon_file, tmp_path, capsys, damage, command, named, rerun
     ):
@@ -670,7 +679,7 @@ GOLDEN = {
     # Deficiencies are exact decimal sums, so one digest holds on every version.
     "compare stdout": "470b35491064a9443524f9ff5944c25f9fd5fb6c258a5576e07b45e924b9a1a1",
     "businesses.jsonl": "10dff046c324685017b9e42c805a292388c0232b29fa74568edede84aede76a4",
-    "reviews.jsonl": "8ac19450a2606b5cd1a5aea39f1dc42767297113cb2e7711596db7e8efe55f43",
+    "reviews.jsonl": "88f864290328f40c944cff27038f09119d7b80d9d1874911cb0b509b5e2985f9",
     "ingest_summary.json": "6b772b275851d633ca442ef5874538b392520c2584baae0ae849396d933e4511",
     "taxonomy.cfg": "d9b0958ba1666d0c230c9446b00059996dcee389418becde2bf1739ade161f72",
     "ranked.csv": "b1d84af2ffbc9e349c0de1c330ca7557f09e44f3fcd832dd8bf44aeb221929e0",
@@ -802,6 +811,13 @@ def _drop_record_digests(path):
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _add_tool_version(path):
+    """Put back the tool version that earlier versions wrote in ingest's entry."""
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest["stages"]["ingest"]["tool_version"] = "0.1.0"
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def _list_ingest_files(path):
     """Rewrite ingest's digest table as a list of its file names."""
     manifest = json.loads(path.read_text(encoding="utf-8"))
@@ -809,19 +825,26 @@ def _list_ingest_files(path):
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _write_older_business_layout(ws):
-    """Rewrite businesses.jsonl as earlier versions wrote it, with each
-    record's raw attributes and restaurant flag, and record its digest in
-    the manifest, so only the record layout is old."""
-    path = ws / "businesses.jsonl"
-    old_fields = {"is_restaurant": True, "raw_attributes": {"HasTV": "True"}}
+# Fields that earlier versions wrote in each record of a file.
+_OLDER_FIELDS = {
+    "businesses.jsonl": {"is_restaurant": True, "raw_attributes": {"HasTV": "True"}},
+    "reviews.jsonl": {"date": "2016-05-01", "review_id": "r1", "user_id": "user001"},
+}
+
+
+def _write_older_layout(ws, name):
+    """Rewrite the record file ``name`` as earlier versions wrote it, with
+    their fields in each record, and record its digest in the manifest, so
+    only the record layout is old."""
+    path = ws / name
+    old_fields = _OLDER_FIELDS[name]
     lines = [
         json.dumps({**json.loads(line), **old_fields}, sort_keys=True, separators=(",", ":"))
         for line in path.read_text(encoding="utf-8").splitlines()
     ]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     manifest = json.loads((ws / "manifest.json").read_text(encoding="utf-8"))
-    manifest["stages"]["ingest"]["files"]["businesses.jsonl"] = _sha256(path.read_bytes())
+    manifest["stages"]["ingest"]["files"][name] = _sha256(path.read_bytes())
     (ws / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                                       encoding="utf-8")
 
@@ -831,7 +854,7 @@ def _write_older_manifest(path):
     top level, and only counters in the stage entries."""
     stages = json.loads(path.read_text(encoding="utf-8"))["stages"]
     path.write_text(json.dumps({
-        "tool_version": stages["ingest"]["tool_version"],
+        "tool_version": "0.1.0",
         "config_hash": stages["rank"]["files"]["taxonomy.cfg"],
         "cutoff": stages["rank"]["cutoff"],
         "k": stages["score"]["k"],

@@ -364,7 +364,7 @@ class TestParseReviews:
         ]
         counters = ReviewCounters()
         reviews = list(parse_reviews(lines, {"b1"}, counters))
-        assert [r.review_id for r in reviews] == ["r1"]
+        assert [(r.business_id, r.stars, r.text) for r in reviews] == [("b1", 5, "great food")]
         assert counters.parsed == 1
         assert counters.skipped_unknown_business == 1
 
@@ -396,10 +396,12 @@ class TestParseReviews:
     @pytest.mark.parametrize("field", ["review_id", "business_id"])
     def test_missing_id_is_malformed(self, field):
         obj = json.loads(review_line("r1", "b1", 4, "fine"))
+        lines = [json.dumps({**obj, field: value}) for value in ("", 7)]
         del obj[field]
+        lines.append(json.dumps(obj))
         counters = ReviewCounters()
-        assert list(parse_reviews([json.dumps(obj)], {"b1"}, counters)) == []
-        assert counters.skipped_malformed == 1
+        assert list(parse_reviews(lines, {"b1"}, counters)) == []
+        assert counters.skipped_malformed == 3
 
     def test_missing_text_becomes_empty(self):
         obj = json.loads(review_line("r1", "b1", 4, "x"))
@@ -467,17 +469,27 @@ class TestLoaders:
             load_reviews(tmp_path / "nope.json", {"b1"})
 
     def test_load_reviews_dedupes_first_wins(self, tmp_path):
+        # The id is read before the record drops it, and only a line that
+        # passes every other check claims it: a valid first line wins over a
+        # later one, and a skipped first line does not shadow a later valid one.
+        cases = [
+            ([review_line("r1", "b1", 4, "first"), review_line("r2", "b1", 4, "other"),
+              review_line("r1", "b2", 2, "second")],
+             [("b1", 4, "first"), ("b1", 4, "other")],
+             {"parsed": 3, "skipped_duplicate_id": 1}),
+            ([review_line("r1", "b1", 9, "bad stars"), review_line("r1", "b1", 3, "kept")],
+             [("b1", 3, "kept")],
+             {"parsed": 1, "skipped_bad_stars": 1, "skipped_duplicate_id": 0}),
+            ([review_line("r1", "ghost", 4, "lost"), review_line("r1", "b2", 3, "kept")],
+             [("b2", 3, "kept")],
+             {"parsed": 1, "skipped_unknown_business": 1, "skipped_duplicate_id": 0}),
+        ]
         path = tmp_path / "review.json"
-        path.write_text(
-            review_line("r1", "b1", 4, "first") + "\n"
-            + review_line("r2", "b1", 4, "other") + "\n"
-            + review_line("r1", "b1", 2, "second") + "\n",
-            encoding="utf-8",
-        )
-        reviews, counters = load_reviews(path, {"b1"})
-        assert [(r.review_id, r.text) for r in reviews] == [("r1", "first"), ("r2", "other")]
-        assert counters.skipped_duplicate_id == 1
-        assert counters.parsed == 3
+        for lines, kept, counts in cases:
+            path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            reviews, counters = load_reviews(path, {"b1", "b2"})
+            assert [(r.business_id, r.stars, r.text) for r in reviews] == kept
+            assert {k: v for k, v in counters.as_dict().items() if v or k in counts} == counts
 
     def test_load_reviews_round_trip(self, tmp_path):
         path = tmp_path / "review.json"
@@ -493,10 +505,8 @@ class TestRecordSerialization:
         assert BusinessRecord.from_json_dict(record.to_json_dict()) == record
 
     def test_review_round_trip(self):
-        review = ReviewRecord(
-            review_id="r1", business_id="b1", user_id="u1",
-            stars=4, text="good", date="2016-05-01",
-        )
+        review = ReviewRecord(business_id="b1", stars=4, text="good")
+        assert review.to_json_dict() == {"business_id": "b1", "stars": 4, "text": "good"}
         assert ReviewRecord.from_json_dict(review.to_json_dict()) == review
 
     def test_business_json_dict_is_json_safe(self):

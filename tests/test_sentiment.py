@@ -64,10 +64,10 @@ class TestTokenize:
 class TestBuildStarDocuments:
     def test_groups_by_business_and_star(self):
         reviews = [
-            make_review("r1", "b1", 5, "great pasta"),
-            make_review("r2", "b1", 5, "great wine"),
-            make_review("r3", "b1", 1, "bad pasta"),
-            make_review("r4", "b2", 5, "fine"),
+            make_review("b1", 5, "great pasta"),
+            make_review("b1", 5, "great wine"),
+            make_review("b1", 1, "bad pasta"),
+            make_review("b2", 5, "fine"),
         ]
         docs = build_star_documents(reviews, {"b1", "b2"})
         keys = [(d.business_id, d.stars) for d in docs]
@@ -76,20 +76,20 @@ class TestBuildStarDocuments:
         assert by_key[("b1", 5)].term_counts == {"great": 2, "pasta": 1, "wine": 1}
 
     def test_cohort_filter(self):
-        reviews = [make_review("r1", "outside", 5, "great")]
+        reviews = [make_review("outside", 5, "great")]
         assert build_star_documents(reviews, {"b1"}) == []
 
     def test_all_stopword_reviews_still_make_a_document(self):
-        reviews = [make_review("r1", "b1", 3, "it was the the")]
+        reviews = [make_review("b1", 3, "it was the the")]
         docs = build_star_documents(reviews, {"b1"})
         assert len(docs) == 1
         assert docs[0].term_counts == {}
 
     def test_output_sorted(self):
         reviews = [
-            make_review("r1", "zz", 2, "x pasta"),
-            make_review("r2", "aa", 4, "y pasta"),
-            make_review("r3", "aa", 1, "z pasta"),
+            make_review("zz", 2, "x pasta"),
+            make_review("aa", 4, "y pasta"),
+            make_review("aa", 1, "z pasta"),
         ]
         docs = build_star_documents(reviews, {"aa", "zz"})
         assert [(d.business_id, d.stars) for d in docs] == [
@@ -99,10 +99,10 @@ class TestBuildStarDocuments:
 
 def test_documents_share_one_string_per_term():
     reviews = [
-        make_review("r1", "b1", 5, "great pasta great wine"),
-        make_review("r2", "b1", 5, "pasta again"),
-        make_review("r3", "b2", 2, "cold pasta, no wine"),
-        make_review("r4", "b2", 2, "wine list great"),
+        make_review("b1", 5, "great pasta great wine"),
+        make_review("b1", 5, "pasta again"),
+        make_review("b2", 2, "cold pasta, no wine"),
+        make_review("b2", 2, "wine list great"),
     ]
     docs = build_star_documents(reviews, {"b1", "b2"})
     oracle = {}
@@ -305,9 +305,9 @@ class TestSentimentScore:
 class TestProfilesAndCohorts:
     def _fixture(self):
         reviews = [
-            make_review("r1", "b1", 5, "amazing wonderful pasta"),
-            make_review("r2", "b1", 1, "awful horrible pasta"),
-            make_review("r3", "b2", 5, "amazing soup"),
+            make_review("b1", 5, "amazing wonderful pasta"),
+            make_review("b1", 1, "awful horrible pasta"),
+            make_review("b2", 5, "amazing soup"),
         ]
         docs = build_star_documents(reviews, {"b1", "b2"})
         stats = CorpusStats.from_documents(docs)

@@ -37,7 +37,7 @@ STAGE_ARTIFACTS = [
 # A manifest entry of each stage, as the commands pass it to record_stage,
 # which adds the digests of the stage's files.
 ENTRIES = {
-    "ingest": {"businesses": 2, "reviews": 5, "tool_version": "0.0"},
+    "ingest": {"businesses": 2, "reviews": 5},
     "rank": {"cutoff": 0, "kept": 2},
     "score": {"documents": 3, "k": 10, "lexicon_path": "lexicon.txt",
               "lexicon_sha256": "5eed"},
@@ -250,13 +250,13 @@ class TestRoundTrips:
         assert loaded["b1"].features == {"wifi", "dinner"}
 
     def test_reviews(self, ws):
-        reviews = [make_review("r1", "b1", 4, "nice"), make_review("r2", "b1", 1, "bad")]
+        reviews = [make_review("b1", 4, "nice"), make_review("b1", 1, "bad")]
         record_ingest(ws, reviews=reviews)
         assert ws.read_reviews() == reviews
 
     def test_record_file_edited_after_ingest(self, ws):
-        record_ingest(ws, reviews=[make_review("r1", "b1", 4, "nice"),
-                                   make_review("r2", "b2", 1, "bad")])
+        record_ingest(ws, reviews=[make_review("b1", 4, "nice"),
+                                   make_review("b2", 1, "bad")])
         ws.reviews_path.write_text(
             ws.reviews_path.read_text(encoding="utf-8").replace("bad", "sad"),
             encoding="utf-8",
@@ -303,7 +303,7 @@ def test_filtered_read_is_the_full_read_filtered(extra_ids, data):
     owners = data.draw(st.lists(st.sampled_from(ids), max_size=20))
     wanted = data.draw(st.frozensets(st.sampled_from(ids + ["ghost"])))
     businesses = [make_business(business_id, {"wifi"}) for business_id in ids]
-    reviews = [make_review(f"r{i}", owner, 1 + i % 5, "text") for i, owner in enumerate(owners)]
+    reviews = [make_review(owner, 1 + i % 5, "text") for i, owner in enumerate(owners)]
     with tempfile.TemporaryDirectory() as root:
         ws = Workspace(root)
         record_ingest(ws, businesses, reviews)

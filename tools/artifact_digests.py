@@ -10,10 +10,10 @@ Then it runs ingest, rank and score again over the finished workspace, so
 each writer also overwrites a file it wrote before; the benchmark starts
 every round from an empty workspace and never does. Prints one JSON object:
 the SHA-256 of every workspace file and of every command's stdout, and every
-exit code, with the same for the second pass under "rerun", whose files
-must equal the first pass's. Two source trees that write the same bytes
-print the same object, so comparing a parent commit with a change is a
-``diff``:
+exit code, and the byte size of every workspace file, with the same for
+the second pass under "rerun", whose files must equal the first pass's.
+Two source trees that write the same bytes print the same object, so
+comparing a parent commit with a change is a ``diff``:
 
     python3 perfbench/generate.py --workload reviews --seed 5 --out CORPUS_DIR
     python3 tools/artifact_digests.py reviews CORPUS_DIR parent/src > parent.json
@@ -53,6 +53,12 @@ def command(src: Path, stage: str, args: list) -> tuple:
     return result.returncode, sha256(result.stdout)
 
 
+def files(ws: Path) -> tuple:
+    """The SHA-256 and the byte size of every workspace file."""
+    digests = artifact_digests(ws)
+    return digests, {name: (ws / name).stat().st_size for name in digests}
+
+
 def digests(workload, corpus_dir: Path, src: Path) -> dict:
     # Absolute, because score records the lexicon's path in the manifest.
     corpus_dir = corpus_dir.resolve()
@@ -77,10 +83,10 @@ def digests(workload, corpus_dir: Path, src: Path) -> dict:
             pair = rng.sample(ids, 2)
             record(out, f"compare{i:02d}", "compare",
                    compare_args(ws, pair, ("json", "text")[i % 2]))
-        out["files"] = artifact_digests(ws)
+        out["files"], out["sizes"] = files(ws)
         for stage, args in stages.items():
             record(rerun, stage, stage, args)
-        rerun["files"] = artifact_digests(ws)
+        rerun["files"], rerun["sizes"] = files(ws)
     return out
 
 
