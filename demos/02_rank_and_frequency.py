@@ -13,7 +13,6 @@ from pathlib import Path
 
 from ratingsift import (
     DEFAULT_TAXONOMY,
-    classify_feature,
     feature_frequency,
     load_businesses,
     rank_restaurants,
@@ -46,7 +45,7 @@ def main():
     frequency = feature_frequency(ranked, businesses)
     held = sorted(frequency.items(), key=lambda kv: (-kv[1], kv[0]))
     for name, count in held[:10]:
-        category = classify_feature(name)
+        category = DEFAULT_TAXONOMY.category_of(name)
         print(f"  {name:28s} {count}/{len(ranked.entries)}  ({category})")
     absent = sum(1 for count in frequency.values() if count == 0)
     print(f"  ... plus {absent} universe features that no cohort member lists")

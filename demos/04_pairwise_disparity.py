@@ -44,8 +44,8 @@ def main():
     report = build_disparity_report(
         businesses[pair[0]],
         businesses[pair[1]],
-        profiles_a=[p for p in profiles if p.business_id == pair[0]],
-        profiles_b=[p for p in profiles if p.business_id == pair[1]],
+        scores_a={p.stars: p.sentiment_score for p in profiles if p.business_id == pair[0]},
+        scores_b={p.stars: p.sentiment_score for p in profiles if p.business_id == pair[1]},
     )
 
     print(render_text(report))

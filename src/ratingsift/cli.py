@@ -184,12 +184,15 @@ def cmd_compare(args, workspace) -> str:
             raise IngestError(f"unknown business id: {business_id}")
     stats = workspace.read_corpus_stats()
     documents = build_star_documents(workspace.read_reviews(pair_ids), pair_ids)
-    profiles = build_topic_profiles(documents, stats, k=score["k"], lexicon=lexicon)
+    # business id -> stars -> sentiment score; --a equal to --b shares one map.
+    scores: dict[str, dict[int, int]] = {business_id: {} for business_id in pair_ids}
+    for profile in build_topic_profiles(documents, stats, k=score["k"], lexicon=lexicon):
+        scores[profile.business_id][profile.stars] = profile.sentiment_score
     report = build_disparity_report(
         businesses[args.a],
         businesses[args.b],
-        profiles_a=[p for p in profiles if p.business_id == args.a],
-        profiles_b=[p for p in profiles if p.business_id == args.b],
+        scores_a=scores[args.a],
+        scores_b=scores[args.b],
         taxonomy=taxonomy,
     )
     return render_text(report) if args.fmt == "text" else report.to_json()

@@ -9,10 +9,9 @@ carried for display but never influence the verdict.
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 from .ingest import BusinessRecord
-from .sentiment import TopicProfile
 from .taxonomy import DEFAULT_TAXONOMY, FeatureTaxonomy, weighted_feature_score
 
 STAR_LEVELS = (1, 2, 3, 4, 5)
@@ -20,8 +19,6 @@ STAR_LEVELS = (1, 2, 3, 4, 5)
 FAVORED_A = "favored_a"
 FAVORED_B = "favored_b"
 INCONCLUSIVE = "inconclusive"
-
-ProfilesInput = Union[Iterable[TopicProfile], Mapping[int, int]]
 
 
 def compare_features(
@@ -45,23 +42,17 @@ def weighted_deficiency(
     return weighted_feature_score(missing, taxonomy)
 
 
-def _score_map(profiles: ProfilesInput) -> dict[int, int]:
-    """Normalize profiles to a stars -> sentiment score map (populated stars only)."""
-    if isinstance(profiles, Mapping):
-        return {int(s): int(v) for s, v in profiles.items()}
-    return {p.stars: p.sentiment_score for p in profiles}
-
-
 def sentiment_delta(
-    profiles_a: ProfilesInput, profiles_b: ProfilesInput
+    scores_a: Mapping[int, int], scores_b: Mapping[int, int]
 ) -> tuple[dict[int, int], int]:
     """Per-star sentiment differences (a minus b) and their sum.
 
-    A star level with no profile contributes 0. The delta map always covers
-    stars 1..5; net is its sum.
+    Each argument maps a star level to that star document's sentiment score,
+    as in ``{p.stars: p.sentiment_score for p in profiles}``. A star level
+    missing from a map contributes 0. The delta map always covers stars
+    1..5; net is its sum.
     """
-    score_a, score_b = _score_map(profiles_a), _score_map(profiles_b)
-    delta = {s: score_a.get(s, 0) - score_b.get(s, 0) for s in STAR_LEVELS}
+    delta = {s: scores_a.get(s, 0) - scores_b.get(s, 0) for s in STAR_LEVELS}
     return delta, sum(delta.values())
 
 
@@ -122,15 +113,18 @@ def _string_keys(by_star: dict[int, int]) -> dict[str, int]:
 def build_disparity_report(
     a: BusinessRecord,
     b: BusinessRecord,
-    profiles_a: ProfilesInput,
-    profiles_b: ProfilesInput,
+    scores_a: Mapping[int, int],
+    scores_b: Mapping[int, int],
     taxonomy: FeatureTaxonomy = DEFAULT_TAXONOMY,
 ) -> DisparityReport:
-    """Compose the full pairwise comparison of two businesses."""
+    """Compose the full pairwise comparison of two businesses.
+
+    ``scores_a`` and ``scores_b`` map each populated star level of ``a`` and
+    ``b`` to its sentiment score (see ``sentiment_delta``); the report keeps
+    a copy of each.
+    """
     common, missing_a, missing_b = compare_features(a, b)
-    score_a = _score_map(profiles_a)
-    score_b = _score_map(profiles_b)
-    delta, net = sentiment_delta(score_a, score_b)
+    delta, net = sentiment_delta(scores_a, scores_b)
     deficiency_a = weighted_deficiency(missing_a, taxonomy)
     deficiency_b = weighted_deficiency(missing_b, taxonomy)
     return DisparityReport(
@@ -143,8 +137,8 @@ def build_disparity_report(
         missing_b=missing_b,
         deficiency_a=deficiency_a,
         deficiency_b=deficiency_b,
-        sentiment_a=score_a,
-        sentiment_b=score_b,
+        sentiment_a=dict(scores_a),
+        sentiment_b=dict(scores_b),
         delta=delta,
         net=net,
         verdict=verdict(deficiency_a, deficiency_b, net),

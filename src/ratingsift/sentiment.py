@@ -131,13 +131,12 @@ class CorpusStats:
             df.update([term for term, count in doc.term_counts.items() if count > 0])
         return cls(n_docs=len(documents), df=df)
 
-    def weight(self, term: str, count: int) -> float:
+    def tfidf(self, term: str, doc: StarDocument) -> float:
+        """Raw count of ``term`` in ``doc`` times its idf; 0.0 when absent."""
+        count = doc.term_counts.get(term, 0)
         if count <= 0:
             return 0.0
         return count * self._idf[term]
-
-    def tfidf(self, term: str, doc: StarDocument) -> float:
-        return self.weight(term, doc.term_counts.get(term, 0))
 
 
 def tfidf(term: str, doc: StarDocument, corpus: Sequence[StarDocument]) -> float:
@@ -155,20 +154,17 @@ def tfidf(term: str, doc: StarDocument, corpus: Sequence[StarDocument]) -> float
     return count * math.log(len(corpus) / df)
 
 
-def top_terms(
-    doc: StarDocument,
-    corpus,
-    k: int,
-) -> list[tuple[str, float]]:
-    """The k highest-TF-IDF terms of ``doc``, zero weights excluded.
+def top_terms(doc: StarDocument, stats: CorpusStats, k: int) -> list[tuple[str, float]]:
+    """The k highest-TF-IDF terms of ``doc`` under ``stats``, zero weights
+    excluded.
 
-    ``corpus`` may be a sequence of documents or a prebuilt CorpusStats.
-    Order is weight descending with alphabetical tie-breaks, so the result
-    is deterministic.
+    Weights are those of ``stats.tfidf``; build ``stats`` once with
+    ``CorpusStats.from_documents`` and share it across documents. Order is
+    weight descending with alphabetical tie-breaks, so the result is
+    deterministic.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    stats = corpus if isinstance(corpus, CorpusStats) else CorpusStats.from_documents(corpus)
     counts = doc.term_counts
     negated = map(neg, map(mul, counts.values(), map(stats._idf.__getitem__, counts)))
     # Plain tuples sort by negated weight, then term, with no key function.

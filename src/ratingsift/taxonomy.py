@@ -9,11 +9,10 @@ restaurants by raw feature count. The shipped taxonomies are stated in
 """
 
 import configparser
-import hashlib
 import io
 import math
 from dataclasses import dataclass
-from importlib import resources
+from pathlib import Path
 from typing import Iterable, Mapping
 
 
@@ -29,8 +28,11 @@ class FeatureTaxonomy:
     """Immutable category -> feature-name partition plus per-category weights.
 
     Categories must be pairwise disjoint and weights finite, non-negative
-    and of at most six decimals, so ``dumps`` loses nothing; all are
-    validated at construction. Instances are safe to share between threads.
+    and of at most six decimals. Category names are non-empty, lowercase
+    and hold no surrounding whitespace or line break; feature names are
+    non-empty, lowercase single words. So ``loads(dumps())`` gives back an
+    equal taxonomy; all of this is validated at construction. Instances are
+    safe to share between threads.
     """
 
     categories: Mapping[str, frozenset[str]]
@@ -43,11 +45,19 @@ class FeatureTaxonomy:
             raise ValueError("taxonomy needs at least one category")
         seen: dict[str, str] = {}
         for category, names in self.categories.items():
+            if (not category or category != category.strip().lower()
+                    or "\r" in category or "\n" in category):
+                raise ValueError(
+                    f"category name {category!r} must be non-empty and lowercase, "
+                    "without surrounding whitespace or line breaks"
+                )
             if not names:
                 raise ValueError(f"category {category!r} has no features")
             for name in names:
-                if name != name.lower():
-                    raise ValueError(f"feature name {name!r} must be lowercase")
+                if not name or name != name.lower() or any(c.isspace() for c in name):
+                    raise ValueError(
+                        f"feature name {name!r} must be a non-empty lowercase single word"
+                    )
                 if name in seen:
                     raise ValueError(
                         f"feature {name!r} appears in both {seen[name]!r} and {category!r}"
@@ -73,13 +83,12 @@ class FeatureTaxonomy:
         return frozenset(self._category)
 
     def category_of(self, name: str) -> str:
+        """The unique category owning ``name``; UnknownFeatureError for
+        names outside the universe."""
         try:
             return self._category[name]
         except KeyError:
             raise UnknownFeatureError(f"unknown feature name: {name!r}") from None
-
-    def weight_of(self, name: str) -> float:
-        return self.weights[self.category_of(name)]
 
     @classmethod
     def loads(cls, text: str) -> "FeatureTaxonomy":
@@ -114,7 +123,7 @@ class FeatureTaxonomy:
 
     def dumps(self) -> str:
         """Canonical config text: sections and feature lists sorted, weights
-        fixed at six decimals. Hashing this text identifies the taxonomy."""
+        fixed at six decimals. Equal taxonomies give equal text."""
         out = io.StringIO()
         for category in sorted(self.categories):
             out.write(f"[{category}]\n")
@@ -122,13 +131,10 @@ class FeatureTaxonomy:
             out.write(f"features = {' '.join(sorted(self.categories[category]))}\n\n")
         return out.getvalue()
 
-    def config_hash(self) -> str:
-        return hashlib.sha256(self.dumps().encode("utf-8")).hexdigest()
-
 
 def _shipped(cfg_name: str) -> FeatureTaxonomy:
     """Load a taxonomy config that ships in the package's ``configs``."""
-    path = resources.files("ratingsift").joinpath(f"configs/{cfg_name}")
+    path = Path(__file__).with_name("configs") / cfg_name
     return FeatureTaxonomy.loads(path.read_text(encoding="utf-8"))
 
 
@@ -140,14 +146,6 @@ DEFAULT_TAXONOMY = _shipped("taxonomy_default.cfg")
 def alcohol_amenity_taxonomy() -> FeatureTaxonomy:
     """The shipped variant taxonomy with alcohol placed under amenities."""
     return _shipped("taxonomy_alcohol_amenity.cfg")
-
-
-def classify_feature(name: str, taxonomy: FeatureTaxonomy = DEFAULT_TAXONOMY) -> str:
-    """Return the unique category owning ``name``.
-
-    Raises UnknownFeatureError for names outside the taxonomy universe.
-    """
-    return taxonomy.category_of(name)
 
 
 def weighted_feature_score(
@@ -173,7 +171,6 @@ class RankedList:
     """Businesses ordered by feature count, deterministic under ties."""
 
     entries: tuple[RankEntry, ...]
-    cutoff: int
 
     def business_ids(self) -> list[str]:
         return [entry.business_id for entry in self.entries]
@@ -203,7 +200,7 @@ def rank_restaurants(
     entries.sort(key=lambda e: (-e.feature_count, e.business_id))
     if cutoff > 0:
         entries = entries[:cutoff]
-    return RankedList(entries=tuple(entries), cutoff=cutoff)
+    return RankedList(entries=tuple(entries))
 
 
 def feature_frequency(

@@ -177,6 +177,20 @@ class TestPipeline:
         assert "verdict:" in out
         assert "ref_a" in out and "ref_b" in out
 
+    def test_compare_business_with_itself(self, data_dir, lexicon_file, tmp_path, capsys):
+        ws = tmp_path / "ws"
+        run_pipeline(data_dir, lexicon_file, ws, through="score")
+        capsys.readouterr()
+        assert main(["compare", "--workspace", str(ws), "--a=ref_a", "--b=ref_a"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["id_a"], report["id_b"]) == ("ref_a", "ref_a")
+        assert report["missing_a"] == report["missing_b"] == []
+        assert report["deficiency_a"] == report["deficiency_b"]
+        assert report["sentiment_a"] == report["sentiment_b"]
+        assert report["sentiment_a"]  # ref_a has reviews at stars 1, 3 and 5
+        assert report["net"] == 0
+        assert report["verdict"] == "inconclusive"
+
     def test_custom_taxonomy_flag(self, data_dir, lexicon_file, tmp_path, capsys):
         config = tmp_path / "variant.cfg"
         config.write_text(alcohol_amenity_taxonomy().dumps(), encoding="utf-8")
@@ -365,7 +379,9 @@ class TestExitCodes:
         (" wifi\n", " wi%fi\n", "'wi%fi'"),
         ("[parking]", "[Food]\nweight = 1\nfeatures = wifi\n\n[parking]",
          "'food' appears more than once"),
-    ], ids=["drops_wifi", "adds_dogsallowed", "percent_in_name", "category_case_duplicate"])
+        ("[amenities]", "[ ]", "category name ''"),
+    ], ids=["drops_wifi", "adds_dogsallowed", "percent_in_name", "category_case_duplicate",
+            "blank_category"])
     def test_rank_rejects_taxonomy_over_other_features(
         self, data_dir, lexicon_file, tmp_path, capsys, old, new, named
     ):
@@ -726,6 +742,22 @@ def test_score_frees_reviews_before_profiling(data_dir, lexicon_file, tmp_path, 
     monkeypatch.setattr(Workspace, "read_reviews", tracked_read)
     monkeypatch.setattr(cli, "build_topic_profiles", profile_after_free)
     assert main(pipeline_steps(data_dir, lexicon_file, ws)["score"]) == 0
+
+
+def test_cli_import_reads_configs_by_path():
+    # The shipped taxonomies are read from the package directory, so
+    # importing the CLI pulls in none of importlib.resources' machinery.
+    # -S: site, which may import importlib.resources itself, is not run.
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys, ratingsift.cli; "
+             "print(sorted(m for m in ('importlib.resources', 'tempfile', 'zipfile') "
+             "if m in sys.modules))")
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def _new_prefix_old_tail(new, old):

@@ -138,8 +138,8 @@ class TestReport:
         a, b = reference_pair
         return build_disparity_report(
             a, b,
-            profiles_a={1: -7, 2: 3, 3: 90, 4: 14, 5: 5},
-            profiles_b={1: 10, 2: 5, 3: 53, 4: 7, 5: 10},
+            scores_a={1: -7, 2: 3, 3: 90, 4: 14, 5: 5},
+            scores_b={1: 10, 2: 5, 3: 53, 4: 7, 5: 10},
         )
 
     def test_wiring(self, reference_pair):
@@ -175,7 +175,7 @@ class TestReport:
 
     def test_absent_star_flagged_by_omission(self, reference_pair):
         a, b = reference_pair
-        report = build_disparity_report(a, b, profiles_a={3: 10}, profiles_b={})
+        report = build_disparity_report(a, b, scores_a={3: 10}, scores_b={})
         payload = report.to_json_dict()
         assert payload["sentiment_a"] == {"3": 10}
         assert payload["sentiment_b"] == {}
@@ -184,7 +184,7 @@ class TestReport:
 
     def test_render_text_marks_missing_stars(self, reference_pair):
         a, b = reference_pair
-        report = build_disparity_report(a, b, profiles_a={3: 10}, profiles_b={3: 4})
+        report = build_disparity_report(a, b, scores_a={3: 10}, scores_b={3: 4})
         text = render_text(report)
         assert "n/a" in text
         assert "verdict:" in text

@@ -182,10 +182,10 @@ class TestTfidf:
     def test_unknown_terms_leave_the_idf_table_unchanged(self):
         stats = CorpusStats(n_docs=3, df={"pasta": 1})
         outside = StarDocument(business_id="b9", stars=1, term_counts={"sushi": 2, "ramen": 1})
-        assert stats.weight("sushi", 2) == 0.0
+        assert stats.tfidf("sushi", outside) == 0.0
         assert top_terms(outside, stats, k=5) == []
         assert len(stats._idf) == 0
-        assert stats.weight("pasta", 1) == pytest.approx(math.log(3))
+        assert stats.tfidf("pasta", doc("b1", 1, pasta=1)) == pytest.approx(math.log(3))
         assert dict(stats._idf) == {"pasta": pytest.approx(math.log(3))}
 
 
@@ -195,27 +195,22 @@ class TestTopTerms:
             doc("b1", 5, zebra=2, apple=2, mango=5),
             doc("b2", 5, other=1),
         ]
-        top = top_terms(corpus[0], corpus, k=3)
+        top = top_terms(corpus[0], CorpusStats.from_documents(corpus), k=3)
         assert [t for t, _ in top] == ["mango", "apple", "zebra"]
 
     def test_k_truncates(self):
         corpus = [doc("b1", 5, **{f"t{i}": i + 1 for i in range(10)}), doc("b2", 5, x=1)]
-        assert len(top_terms(corpus[0], corpus, k=4)) == 4
+        assert len(top_terms(corpus[0], CorpusStats.from_documents(corpus), k=4)) == 4
 
     def test_zero_weight_terms_excluded(self):
         corpus = [doc("b1", 5, everywhere=3, rare=1), doc("b2", 5, everywhere=1)]
-        top = top_terms(corpus[0], corpus, k=10)
+        top = top_terms(corpus[0], CorpusStats.from_documents(corpus), k=10)
         assert [t for t, _ in top] == ["rare"]
 
     def test_k_must_be_positive(self):
         corpus = [doc("b1", 5, pasta=1)]
         with pytest.raises(ValueError):
-            top_terms(corpus[0], corpus, k=0)
-
-    def test_accepts_prebuilt_stats(self):
-        corpus = [doc("b1", 5, pasta=2), doc("b2", 5, salad=1)]
-        stats = CorpusStats.from_documents(corpus)
-        assert top_terms(corpus[0], stats, k=5) == top_terms(corpus[0], corpus, k=5)
+            top_terms(corpus[0], CorpusStats.from_documents(corpus), k=0)
 
 
 class TestSentimentLexicon:

@@ -12,7 +12,6 @@ from ratingsift import (
     RankedList,
     UnknownFeatureError,
     alcohol_amenity_taxonomy,
-    classify_feature,
     feature_frequency,
     rank_restaurants,
     weighted_feature_score,
@@ -21,6 +20,10 @@ from ratingsift import (
 from conftest import make_business
 
 UNIVERSE = sorted(DEFAULT_TAXONOMY.universe)
+
+
+def _weight(taxonomy, name):
+    return taxonomy.weights[taxonomy.category_of(name)]
 
 
 class TestDefaultTaxonomy:
@@ -37,20 +40,18 @@ class TestDefaultTaxonomy:
         }
 
     def test_category_lookup(self):
-        assert classify_feature("alcohol") == "food"
-        assert classify_feature("valet") == "parking"
-        assert classify_feature("wifi") == "amenities"
-        assert classify_feature("hipster") == "qualities"
+        assert DEFAULT_TAXONOMY.category_of("alcohol") == "food"
+        assert DEFAULT_TAXONOMY.category_of("valet") == "parking"
+        assert DEFAULT_TAXONOMY.category_of("wifi") == "amenities"
+        assert DEFAULT_TAXONOMY.category_of("hipster") == "qualities"
 
     def test_weight_lookup(self):
-        assert DEFAULT_TAXONOMY.weight_of("dinner") == 1.0
-        assert DEFAULT_TAXONOMY.weight_of("garage") == 0.8
+        assert _weight(DEFAULT_TAXONOMY, "dinner") == 1.0
+        assert _weight(DEFAULT_TAXONOMY, "garage") == 0.8
 
     def test_unknown_feature_raises(self):
         with pytest.raises(UnknownFeatureError):
-            classify_feature("petfriendly")
-        with pytest.raises(UnknownFeatureError):
-            DEFAULT_TAXONOMY.weight_of("petfriendly")
+            DEFAULT_TAXONOMY.category_of("petfriendly")
 
     def test_unknown_error_is_value_error(self):
         assert issubclass(UnknownFeatureError, ValueError)
@@ -85,6 +86,24 @@ class TestValidation:
             FeatureTaxonomy(
                 categories={"x": frozenset({"WiFi"})}, weights={"x": 1.0},
             )
+
+    @pytest.mark.parametrize("name", ["", " ", " food", "food ", "Food", "fo\nod", "fo\rod"],
+                             ids=["empty", "blank", "leading_space", "trailing_space",
+                                  "uppercase", "newline", "carriage_return"])
+    def test_unreadable_category_name_rejected(self, name):
+        with pytest.raises(ValueError, match="category name"):
+            FeatureTaxonomy(categories={name: frozenset({"wifi"})}, weights={name: 1.0})
+
+    @pytest.mark.parametrize("name", ["", "wi fi", "wi\tfi", "wi\nfi"],
+                             ids=["empty", "space", "tab", "newline"])
+    def test_unreadable_feature_name_rejected(self, name):
+        with pytest.raises(ValueError, match="feature name"):
+            FeatureTaxonomy(categories={"x": frozenset({name})}, weights={"x": 1.0})
+
+    def test_category_name_with_inner_space_accepted(self):
+        taxonomy = FeatureTaxonomy(categories={"food and drink": frozenset({"wifi"})},
+                                   weights={"food and drink": 1.0})
+        assert FeatureTaxonomy.loads(taxonomy.dumps()) == taxonomy
 
     def test_empty_category_rejected(self):
         with pytest.raises(ValueError):
@@ -128,18 +147,49 @@ class TestConfigRoundTrip:
         assert sections == sorted(sections)
 
     def test_config_hash_stable_and_sensitive(self):
-        base = DEFAULT_TAXONOMY.config_hash()
-        assert base == DEFAULT_TAXONOMY.config_hash()
+        base = DEFAULT_TAXONOMY.dumps()
+        assert base == DEFAULT_TAXONOMY.dumps()
         tweaked = FeatureTaxonomy(
             categories=dict(DEFAULT_TAXONOMY.categories),
             weights={**DEFAULT_TAXONOMY.weights, "food": 0.9},
         )
-        assert tweaked.config_hash() != base
+        assert tweaked.dumps() != base
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "tax.cfg"
         path.write_text(DEFAULT_TAXONOMY.dumps(), encoding="utf-8")
-        assert FeatureTaxonomy.load(path).config_hash() == DEFAULT_TAXONOMY.config_hash()
+        loaded = FeatureTaxonomy.load(path)
+        assert loaded == DEFAULT_TAXONOMY
+        assert loaded.dumps() == DEFAULT_TAXONOMY.dumps()
+
+    @given(
+        st.dictionaries(
+            # Any text, or text with neither capitals nor control characters
+            # (and, for features, no separators), which the constructor
+            # accepts more often.
+            st.text(st.characters(exclude_categories=("Lu", "Lt", "Cc")), min_size=1,
+                    max_size=8) | st.text(max_size=8),
+            st.tuples(
+                st.frozensets(
+                    st.text(st.characters(exclude_categories=("Lu", "Lt", "Z", "Cc")),
+                            min_size=1, max_size=6) | st.text(max_size=6),
+                    min_size=1, max_size=3,
+                ),
+                st.integers(min_value=0, max_value=10**9).map(lambda m: m / 1_000_000),
+            ),
+            min_size=1, max_size=4,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_accepted_taxonomy_reads_back(self, spec):
+        try:
+            taxonomy = FeatureTaxonomy(
+                categories={c: names for c, (names, _) in spec.items()},
+                weights={c: weight for c, (_, weight) in spec.items()},
+            )
+        except ValueError:
+            return  # rejected at construction, so never written
+        assert FeatureTaxonomy.loads(taxonomy.dumps()) == taxonomy
 
     def test_load_accepts_byte_order_mark(self, tmp_path):
         path = tmp_path / "tax.cfg"
@@ -196,7 +246,7 @@ class TestWeightedScore:
     @given(st.sets(st.sampled_from(UNIVERSE)))
     @settings(max_examples=50, deadline=None)
     def test_matches_per_name_sum(self, names):
-        expected = math.fsum(DEFAULT_TAXONOMY.weight_of(n) for n in sorted(names))
+        expected = math.fsum(_weight(DEFAULT_TAXONOMY, n) for n in sorted(names))
         assert weighted_feature_score(names) == pytest.approx(expected, abs=1e-12)
 
 
@@ -225,7 +275,6 @@ class TestRanking:
         businesses = [make_business(f"b{i}", set(UNIVERSE[:i + 1])) for i in range(6)]
         ranked = rank_restaurants(businesses, cutoff=2)
         assert len(ranked.entries) == 2
-        assert ranked.cutoff == 2
         assert ranked.business_ids() == ["b5", "b4"]
 
     def test_cutoff_zero_keeps_all(self):
