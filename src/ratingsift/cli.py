@@ -2,8 +2,9 @@
 
 The four subcommands form a staged pipeline over one workspace directory.
 ``main`` is the one place a command runs: it opens the workspace, creates
-the directory for ingest only, holds the workspace lock while the command
-runs, and prints the text the command returns once the lock is released.
+the directory for ingest only, holds the workspace lock (an ``flock`` the
+kernel drops however the process ends) while the command runs, and prints
+the text the command returns once the lock is released.
 Each ``cmd_*(args, workspace)`` checks its stage before its flags and reads
 only the workspace files its output depends on.
 Exit codes: 0 on success, 1 on an input problem (missing file, bad record
@@ -97,11 +98,7 @@ def cmd_ingest(args, workspace) -> str:
         "businesses": business_counters.as_dict(),
         "reviews": review_counters.as_dict(),
     }
-    workspace.write_ingest_summary(summary)
-    workspace.record_stage("ingest", {
-        "businesses": business_counters.parsed,
-        "reviews": review_counters.parsed,
-    })
+    workspace.record_stage("ingest", summary)
     return json.dumps(summary, indent=2, sort_keys=True) + "\n"
 
 

@@ -134,8 +134,7 @@ class FeatureTaxonomy:
 
 def _shipped(cfg_name: str) -> FeatureTaxonomy:
     """Load a taxonomy config that ships in the package's ``configs``."""
-    path = Path(__file__).with_name("configs") / cfg_name
-    return FeatureTaxonomy.loads(path.read_text(encoding="utf-8"))
+    return FeatureTaxonomy.load(Path(__file__).with_name("configs") / cfg_name)
 
 
 # The built-in feature set is the universe of this taxonomy; ingest flattens

@@ -1,16 +1,19 @@
 """On-disk workspace for the staged pipeline.
 
 Each pipeline stage (ingest, rank, score) writes its artifacts here plus a
-manifest entry holding the SHA-256 of each; later stages refuse to run on a
-stale workspace, or on a file changed since the stage that wrote it, instead
-of silently using mismatched artifacts. All writers are deterministic: fixed
-key order, fixed six-decimal formatting for rationals, "\n" line endings,
-and no timestamps, so identical inputs produce byte-identical files. Each
-writer overwrites its file in place and cuts it to length once done (see
-``_create``); the manifest is written with one call.
+manifest entry holding its counters, its settings and the SHA-256 of each
+artifact; later stages refuse to run on a stale workspace, or on a file
+changed since the stage that wrote it, instead of silently using mismatched
+artifacts. The lock is an ``flock`` on the directory, so the workspace holds
+nothing else. All writers are deterministic: fixed key order, fixed
+six-decimal formatting for rationals, "\n" line endings, and no timestamps,
+so identical inputs produce byte-identical files. Each writer overwrites its
+file in place and cuts it to length once done (see ``_create``); the
+manifest is written with one call.
 """
 
 import csv
+import fcntl
 import hashlib
 import io
 import json
@@ -27,7 +30,7 @@ from .taxonomy import FeatureTaxonomy, RankEntry
 # Each stage in pipeline order, with the artifacts it writes. Beginning a
 # stage deletes the artifacts of every later stage.
 STAGES = {
-    "ingest": ("businesses.jsonl", "reviews.jsonl", "ingest_summary.json"),
+    "ingest": ("businesses.jsonl", "reviews.jsonl"),
     "rank": ("taxonomy.cfg", "ranked.csv", "feature_frequency.csv"),
     "score": ("topics.tsv", "cohort_scores.csv", "corpus_stats.json"),
 }
@@ -66,7 +69,6 @@ class Workspace:
 
     businesses_path = _artifact("businesses.jsonl")
     reviews_path = _artifact("reviews.jsonl")
-    ingest_summary_path = _artifact("ingest_summary.json")
     taxonomy_path = _artifact("taxonomy.cfg")
     ranked_path = _artifact("ranked.csv")
     frequency_path = _artifact("feature_frequency.csv")
@@ -74,30 +76,30 @@ class Workspace:
     cohort_scores_path = _artifact("cohort_scores.csv")
     corpus_stats_path = _artifact("corpus_stats.json")
     manifest_path = _artifact("manifest.json")
-    lock_path = _artifact(".lock")
 
     # locking -----------------------------------------------------------
 
     @contextmanager
     def lock(self):
-        """Advisory per-workspace lock; one command at a time. The workspace
-        directory must exist: locking never creates it."""
+        """Advisory per-workspace lock; one command at a time. An ``flock``
+        on the directory itself (POSIX), which the kernel releases however
+        the process ends. The directory must exist: locking never creates it."""
         try:
-            fd = os.open(self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise WorkspaceLockedError(
-                f"workspace {self.root} is locked by another command "
-                f"(remove {self.lock_path} if that command crashed)"
-            ) from None
+            fd = os.open(self.root, os.O_RDONLY | os.O_DIRECTORY)
         except FileNotFoundError:
             raise StaleWorkspaceError(
                 f"workspace {self.root} does not exist; run ingest first"
             ) from None
-        os.close(fd)
         try:
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise WorkspaceLockedError(
+                    f"workspace {self.root} is locked by another command"
+                ) from None
             yield self
         finally:
-            self.lock_path.unlink(missing_ok=True)
+            os.close(fd)
 
     # manifest and stages -----------------------------------------------
 
@@ -212,9 +214,6 @@ class Workspace:
                 if wanted is None or _id_token(raw) in wanted:
                     records.append(record_cls.from_json_dict(_raw_decode(raw.decode("utf-8"))[0]))
         return records
-
-    def write_ingest_summary(self, summary: dict) -> None:
-        _write_json(self.ingest_summary_path, summary)
 
     # rank artifacts ----------------------------------------------------
 

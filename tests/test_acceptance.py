@@ -327,7 +327,8 @@ def test_criterion_09_ingestion_scale_and_robustness(criterion, tmp_path):
             "--reviews", str(review_path), "--workspace", str(workspace),
         ])
         assert code == 0
-        summary = json.loads((workspace / "ingest_summary.json").read_text())
+        manifest = json.loads((workspace / "manifest.json").read_text())
+        summary = manifest["stages"]["ingest"]
         assert summary["reviews"]["parsed"] == total - expected_malformed
         assert summary["reviews"]["skipped_malformed"] == expected_malformed
 

@@ -1,12 +1,16 @@
 """Command line pipeline behavior and exit codes."""
 
 import contextlib
+import errno
+import fcntl
 import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -60,7 +64,6 @@ def data_dir(tmp_path):
 WRITES = [
     ("ingest", "write_businesses", "businesses_path"),
     ("ingest", "write_reviews", "reviews_path"),
-    ("ingest", "write_ingest_summary", "ingest_summary_path"),
     ("rank", "begin_stage", "manifest_path"),
     ("rank", "write_taxonomy", "taxonomy_path"),
     ("rank", "write_ranked", "ranked_path"),
@@ -134,11 +137,8 @@ class TestPipeline:
     def test_full_run_produces_artifacts(self, data_dir, lexicon_file, tmp_path, capsys):
         ws = tmp_path / "ws"
         run_pipeline(data_dir, lexicon_file, ws)
-        for name in ("businesses.jsonl", "reviews.jsonl", "ingest_summary.json",
-                     "taxonomy.cfg", "ranked.csv", "feature_frequency.csv",
-                     "topics.tsv", "cohort_scores.csv", "corpus_stats.json",
-                     "manifest.json"):
-            assert (ws / name).exists(), name
+        assert sorted(p.name for p in ws.iterdir()) == sorted(
+            [*(name for names in STAGES.values() for name in names), "manifest.json"])
 
     def test_ingest_prints_summary_json(self, data_dir, lexicon_file, tmp_path, capsys):
         ws = tmp_path / "ws"
@@ -416,8 +416,45 @@ class TestExitCodes:
     def test_locked_workspace(self, data_dir, lexicon_file, tmp_path):
         ws = tmp_path / "ws"
         run_pipeline(data_dir, lexicon_file, ws, through="ingest")
-        (ws / ".lock").touch()
-        assert main(["rank", "--workspace", str(ws)]) == 2
+        with Workspace(ws).lock():
+            assert main(["rank", "--workspace", str(ws)]) == 2
+
+    def test_killed_command_leaves_no_lock(self, data_dir, lexicon_file, tmp_path):
+        # Ingest takes the lock before it opens its inputs, so once it has
+        # opened a FIFO as its business file it holds the lock and blocks.
+        # SIGKILL ends it there: the kernel drops the lock, and the stages
+        # recorded before it are still whole.
+        ws = tmp_path / "ws"
+        run_pipeline(data_dir, lexicon_file, ws, through="score")
+        steps = pipeline_steps(data_dir, lexicon_file, ws)
+        fifo = tmp_path / "business.fifo"
+        os.mkfifo(fifo)
+        argv = [*steps["ingest"][:2], str(fifo), *steps["ingest"][3:]]
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        with subprocess.Popen([sys.executable, "-m", "ratingsift.cli", *argv], env=env,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE) as child:
+            try:
+                writer = _open_fifo_writer(fifo, child)
+                rank = main(steps["rank"])
+            finally:
+                child.kill()
+                child.wait(timeout=30)
+        os.close(writer)
+        assert rank == 2
+        assert child.returncode == -signal.SIGKILL
+        assert main(steps["compare"]) == 0
+        assert main(steps["ingest"]) == 0
+
+    @pytest.mark.parametrize("command", ["ingest", "rank", "score", "compare"])
+    def test_workspace_that_is_a_file(self, data_dir, lexicon_file, tmp_path, capsys, command):
+        # The lock opens the workspace as a directory, so a regular file is
+        # an input problem, not a workspace without stages, and is left alone.
+        ws = tmp_path / "ws"
+        ws.write_bytes(b"not a workspace\n")
+        assert main(pipeline_steps(data_dir, lexicon_file, ws)[command]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ratingsift: ") and err.count("\n") == 1, err
+        assert ws.read_bytes() == b"not a workspace\n"
 
     def test_edited_lexicon(self, data_dir, lexicon_file, tmp_path, capsys):
         ws = tmp_path / "ws"
@@ -584,11 +621,11 @@ class TestExitCodes:
         argv = pipeline_steps(data_dir, lexicon_file, ws)[command]
         for flag, value in flags.items():
             argv[argv.index(flag) + 1] = value
-        stdout = _StdoutAfterLock(ws / ".lock")
+        stdout = _StdoutAfterLock(ws)
         monkeypatch.setattr(sys, "stdout", stdout)
         with Workspace(ws).lock() if before == "locked" else contextlib.nullcontext():
             assert main(argv) == code
-        assert not (ws / ".lock").exists()
+        assert not _locked(ws)
         assert bool(stdout.written) == (code == 0)
 
     def test_usage_errors_are_input_errors(self, capsys):
@@ -685,9 +722,8 @@ class TestDeterminism:
         assert digests == GOLDEN
 
 
-GOLDEN_FILES = ("businesses.jsonl", "reviews.jsonl", "ingest_summary.json", "taxonomy.cfg",
-                "ranked.csv", "feature_frequency.csv", "topics.tsv", "cohort_scores.csv",
-                "corpus_stats.json")
+GOLDEN_FILES = ("businesses.jsonl", "reviews.jsonl", "taxonomy.cfg", "ranked.csv",
+                "feature_frequency.csv", "topics.tsv", "cohort_scores.csv", "corpus_stats.json")
 GOLDEN = {
     "ingest stdout": "6b772b275851d633ca442ef5874538b392520c2584baae0ae849396d933e4511",
     "rank stdout": "df46c02368691db9a33ce150665c5b36eaf12f04686bc28a3c5a5903e13f53af",
@@ -696,7 +732,6 @@ GOLDEN = {
     "compare stdout": "470b35491064a9443524f9ff5944c25f9fd5fb6c258a5576e07b45e924b9a1a1",
     "businesses.jsonl": "10dff046c324685017b9e42c805a292388c0232b29fa74568edede84aede76a4",
     "reviews.jsonl": "88f864290328f40c944cff27038f09119d7b80d9d1874911cb0b509b5e2985f9",
-    "ingest_summary.json": "6b772b275851d633ca442ef5874538b392520c2584baae0ae849396d933e4511",
     "taxonomy.cfg": "d9b0958ba1666d0c230c9446b00059996dcee389418becde2bf1739ade161f72",
     "ranked.csv": "b1d84af2ffbc9e349c0de1c330ca7557f09e44f3fcd832dd8bf44aeb221929e0",
     "feature_frequency.csv": "f7f3b904fdba6b0ab2aa257105830750b8736ab7622778ff15551f8d65575bd2",
@@ -707,20 +742,48 @@ GOLDEN = {
 
 
 class _StdoutAfterLock:
-    """A stdout that fails any write made while ``lock_path`` exists."""
+    """A stdout that fails any write made while workspace ``root`` is locked."""
 
-    def __init__(self, lock_path):
-        self.lock_path = lock_path
+    def __init__(self, root):
+        self.root = root
         self.written = []
 
     def write(self, text):
-        assert not self.lock_path.exists(), "stdout written while the lock was held"
+        assert not _locked(self.root), "stdout written while the lock was held"
         self.written.append(text)
         return len(text)
 
 
+def _locked(root):
+    """Whether some open file holds the ``flock`` of directory ``root``;
+    within one process too, as each ``os.open`` gets its own lock."""
+    fd = os.open(root, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        return True
+    finally:
+        os.close(fd)
+    return False
+
+
 def _sha256(data):
     return hashlib.sha256(data).hexdigest()
+
+
+def _open_fifo_writer(fifo, child, timeout=30.0):
+    """Open ``fifo`` for writing without blocking; that succeeds only once
+    ``child`` has opened it for reading."""
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            return os.open(fifo, os.O_WRONLY | os.O_NONBLOCK)
+        except OSError as exc:
+            if exc.errno != errno.ENXIO:
+                raise
+        assert child.poll() is None, child.stderr.read().decode()
+        assert time.monotonic() < deadline, f"{fifo} was not opened within {timeout} s"
+        time.sleep(0.01)
 
 
 def test_score_frees_reviews_before_profiling(data_dir, lexicon_file, tmp_path, monkeypatch):

@@ -29,7 +29,7 @@ from conftest import make_business, make_review
 
 # Path properties of the artifacts each stage writes, in pipeline order.
 STAGE_ARTIFACTS = [
-    ("ingest", ("businesses_path", "reviews_path", "ingest_summary_path")),
+    ("ingest", ("businesses_path", "reviews_path")),
     ("rank", ("taxonomy_path", "ranked_path", "frequency_path")),
     ("score", ("topics_path", "cohort_scores_path", "corpus_stats_path")),
 ]
@@ -37,7 +37,7 @@ STAGE_ARTIFACTS = [
 # A manifest entry of each stage, as the commands pass it to record_stage,
 # which adds the digests of the stage's files.
 ENTRIES = {
-    "ingest": {"businesses": 2, "reviews": 5},
+    "ingest": {"businesses": {"parsed": 2}, "reviews": {"parsed": 5}},
     "rank": {"cutoff": 0, "kept": 2},
     "score": {"documents": 3, "k": 10, "lexicon_path": "lexicon.txt",
               "lexicon_sha256": "5eed"},
@@ -169,7 +169,8 @@ class _Interrupting:
 
 
 @pytest.mark.parametrize("rewrite", [
-    lambda ws: ws.record_stage("ingest", {**ENTRIES["ingest"], "businesses": 3, "reviews": 6}),
+    lambda ws: ws.record_stage("ingest", {"businesses": {"parsed": 3},
+                                          "reviews": {"parsed": 6}}),
     lambda ws: ws.begin_stage("rank"),
 ], ids=["record_changed_counts", "begin_rank"])
 def test_interrupted_manifest_rewrite_never_mixes(tmp_path, monkeypatch, rewrite):
@@ -237,7 +238,6 @@ def record_ingest(ws, businesses=(), reviews=()):
     """Write ingest's files and record its entry, which holds their digests."""
     ws.write_businesses(businesses)
     ws.write_reviews(reviews)
-    ws.write_ingest_summary({})
     ws.record_stage("ingest", ENTRIES["ingest"])
 
 
@@ -278,11 +278,6 @@ class TestRoundTrips:
         loaded = ws.read_corpus_stats()
         assert loaded.n_docs == 4
         assert loaded.df == {"pasta": 2, "wine": 1}
-
-    def test_ingest_summary(self, ws):
-        ws.write_ingest_summary({"businesses": {"parsed": 2}})
-        text = ws.ingest_summary_path.read_text(encoding="utf-8")
-        assert json.loads(text) == {"businesses": {"parsed": 2}}
 
 
 # Business ids whose JSON form needs escapes, or that look like a flag.

@@ -10,8 +10,9 @@ Then it runs ingest, rank and score again over the finished workspace, so
 each writer also overwrites a file it wrote before; the benchmark starts
 every round from an empty workspace and never does. Prints one JSON object:
 the SHA-256 of every workspace file and of every command's stdout, and every
-exit code, and the byte size of every workspace file, with the same for
-the second pass under "rerun", whose files must equal the first pass's.
+exit code, the byte size of every workspace file, and the name of every
+entry in the workspace, dotfiles included, with the same for the second pass
+under "rerun", whose files must equal the first pass's.
 Two source trees that write the same bytes print the same object, so
 comparing a parent commit with a change is a ``diff``:
 
@@ -54,9 +55,11 @@ def command(src: Path, stage: str, args: list) -> tuple:
 
 
 def files(ws: Path) -> tuple:
-    """The SHA-256 and the byte size of every workspace file."""
+    """The SHA-256 and the byte size of every workspace file, and the sorted
+    name of every entry; the digests skip dotfiles, the names do not."""
     digests = artifact_digests(ws)
-    return digests, {name: (ws / name).stat().st_size for name in digests}
+    return (digests, {name: (ws / name).stat().st_size for name in digests},
+            sorted(entry.name for entry in ws.iterdir()))
 
 
 def digests(workload, corpus_dir: Path, src: Path) -> dict:
@@ -83,10 +86,10 @@ def digests(workload, corpus_dir: Path, src: Path) -> dict:
             pair = rng.sample(ids, 2)
             record(out, f"compare{i:02d}", "compare",
                    compare_args(ws, pair, ("json", "text")[i % 2]))
-        out["files"], out["sizes"] = files(ws)
+        out["files"], out["sizes"], out["entries"] = files(ws)
         for stage, args in stages.items():
             record(rerun, stage, stage, args)
-        rerun["files"], rerun["sizes"] = files(ws)
+        rerun["files"], rerun["sizes"], rerun["entries"] = files(ws)
     return out
 
 
