@@ -3,10 +3,10 @@
 The four subcommands (ingest, rank, score, compare) share one workspace
 directory. Before it writes, a stage wipes everything downstream; once its
 files are written, it records an entry in manifest.json holding its counts,
-its settings (the cutoff, k, the lexicon path and its SHA-256) and the
-SHA-256 of every file it wrote. So artifacts can never silently mix
-configurations, and the digests catch any hand-edited workspace file or
-lexicon. All writers are
+its settings (the cutoff, k) and the SHA-256 of every file it wrote. Score
+keeps the lexicon it used as lexicon.tsv, so compare reads nothing outside
+the workspace. So artifacts can never silently mix configurations, and the
+digests catch any hand-edited workspace file. All writers are
 deterministic, which this script proves by running ingest, rank and score
 twice and hashing every file, manifest.json included.
 

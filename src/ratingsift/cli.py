@@ -7,15 +7,15 @@ kernel drops however the process ends) while the command runs, and prints
 the text the command returns once the lock is released.
 Each ``cmd_*(args, workspace)`` checks its stage before its flags and reads
 only the workspace files its output depends on.
-Exit codes: 0 on success, 1 on an input problem (missing file, bad record
-stream, unknown business id, bad flag), 2 when the workspace is stale,
-locked, damaged, or missing a prerequisite stage, or when any workspace file
-changed since the stage that wrote it or the lexicon since score.
+Score keeps the lexicon it used in the workspace, so compare reads no file
+outside it. Exit codes: 0 on success, 1 on an input problem (missing file, bad
+record stream, unknown business id, bad flag), 2 when the workspace is
+stale, locked, damaged, or missing a prerequisite stage, or when any
+workspace file changed since the stage that wrote it.
 """
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -34,7 +34,7 @@ from .taxonomy import (
     feature_frequency,
     rank_restaurants,
 )
-from .workspace import StaleWorkspaceError, Workspace, file_sha256
+from .workspace import StaleWorkspaceError, Workspace
 
 DEFAULT_CUTOFF = 500
 DEFAULT_TOPIC_COUNT = 50
@@ -120,7 +120,7 @@ def cmd_rank(args, workspace) -> str:
             )
     businesses = workspace.read_businesses()
     ranked = rank_restaurants(businesses.values(), taxonomy, cutoff=args.cutoff)
-    frequency = feature_frequency(ranked, businesses, taxonomy)
+    frequency = feature_frequency(ranked, businesses)
     workspace.begin_stage("rank")
     workspace.write_taxonomy(taxonomy)
     workspace.write_ranked(ranked.entries)
@@ -134,7 +134,6 @@ def cmd_score(args, workspace) -> str:
     if args.k < 1:
         raise IngestError("--k must be at least 1")
     lexicon = SentimentLexicon.load(args.lexicon)
-    lexicon_sha256 = file_sha256(args.lexicon)
     cohort_ids = frozenset(e.business_id for e in workspace.read_ranked())
     # Unnamed, so the review list is freed once the documents are built.
     documents = build_star_documents(workspace.read_reviews(cohort_ids), cohort_ids)
@@ -150,13 +149,8 @@ def cmd_score(args, workspace) -> str:
     workspace.write_topics(profiles)
     workspace.write_cohort_scores(scores)
     workspace.write_corpus_stats(stats)
-    workspace.record_stage("score", {
-        "documents": len(documents),
-        "k": args.k,
-        # Absolute, so compare finds the lexicon from any directory.
-        "lexicon_path": os.path.abspath(args.lexicon),
-        "lexicon_sha256": lexicon_sha256,
-    })
+    workspace.write_lexicon(lexicon)
+    workspace.record_stage("score", {"documents": len(documents), "k": args.k})
     lines = [f"scored {len(documents)} star documents over {len(cohort_ids)} restaurants"]
     for stars in sorted(scores.combined):
         lines.append(
@@ -169,11 +163,7 @@ def cmd_score(args, workspace) -> str:
 def cmd_compare(args, workspace) -> str:
     score = workspace.require_stage("score")["score"]
     taxonomy = workspace.read_taxonomy()
-    if file_sha256(score["lexicon_path"]) != score["lexicon_sha256"]:
-        raise StaleWorkspaceError(
-            f"lexicon {score['lexicon_path']} changed since the score command; re-run score"
-        )
-    lexicon = SentimentLexicon.load(score["lexicon_path"])
+    lexicon = workspace.read_lexicon()
     pair_ids = frozenset((args.a, args.b))
     businesses = workspace.read_businesses(pair_ids)
     for business_id in (args.a, args.b):

@@ -7,6 +7,7 @@ terms are its topics; summing the lexicon valences of the distinct topic
 terms gives the document's sentiment score.
 """
 
+import io
 import math
 import re
 from collections import Counter
@@ -204,7 +205,15 @@ class SentimentLexicon:
 
     @classmethod
     def load(cls, path, counters: LexiconCounters | None = None) -> "SentimentLexicon":
-        """Read a term TAB valence file (one entry per line, UTF-8).
+        """Read a term TAB valence file (UTF-8); see ``loads``."""
+        # utf-8-sig: a byte-order mark would otherwise stick to the first term
+        with open(path, "r", encoding="utf-8-sig") as handle:
+            return cls.loads(handle.read(), counters)
+
+    @classmethod
+    def loads(cls, text: str, counters: LexiconCounters | None = None) -> "SentimentLexicon":
+        """Parse term TAB valence lines, broken only where a text-mode file
+        breaks them: at "\\n", "\\r" and "\\r\\n".
 
         Multi-word entries cannot match single-term topics and are skipped
         with a counted warning; malformed lines are skipped and counted.
@@ -213,30 +222,29 @@ class SentimentLexicon:
         if counters is None:
             counters = LexiconCounters()
         entries: dict[str, int] = {}
-        # utf-8-sig: a byte-order mark would otherwise stick to the first term
-        with open(path, "r", encoding="utf-8-sig") as handle:
-            for line in handle:
-                line = line.rstrip("\n")
-                if not line.strip():
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    counters.skipped_malformed += 1
-                    continue
-                term, raw_valence = parts[0].strip().lower(), parts[1].strip()
-                try:
-                    valence = int(raw_valence)
-                except ValueError:
-                    counters.skipped_malformed += 1
-                    continue
-                if not -5 <= valence <= 5:
-                    counters.skipped_malformed += 1
-                    continue
-                if not term or any(c.isspace() for c in term):
-                    counters.skipped_multiword += 1
-                    continue
-                entries[term] = valence
-                counters.loaded += 1
+        # Not str.splitlines, which also breaks at "\x85", "\u2028" and others.
+        for line in io.StringIO(text, newline=None):
+            line = line.rstrip("\n")
+            if not line.strip():
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                counters.skipped_malformed += 1
+                continue
+            term, raw_valence = parts[0].strip().lower(), parts[1].strip()
+            try:
+                valence = int(raw_valence)
+            except ValueError:
+                counters.skipped_malformed += 1
+                continue
+            if not -5 <= valence <= 5:
+                counters.skipped_malformed += 1
+                continue
+            if not term or any(c.isspace() for c in term):
+                counters.skipped_multiword += 1
+                continue
+            entries[term] = valence
+            counters.loaded += 1
         return cls(entries=entries)
 
 

@@ -202,17 +202,14 @@ def rank_restaurants(
     return RankedList(entries=tuple(entries))
 
 
-def feature_frequency(
-    ranked: RankedList,
-    businesses: Mapping,
-    taxonomy: FeatureTaxonomy = DEFAULT_TAXONOMY,
-) -> dict[str, int]:
+def feature_frequency(ranked: RankedList, businesses: Mapping) -> dict[str, int]:
     """Per-feature possession counts over the ranked businesses.
 
-    ``businesses`` maps business_id -> record. Every feature in the taxonomy
-    universe gets an entry, zero when no ranked business has it.
+    ``businesses`` maps business_id -> record. Every built-in feature gets an
+    entry, zero when no ranked business has it; a taxonomy accepted by rank
+    covers exactly these.
     """
-    counts = {name: 0 for name in sorted(taxonomy.universe)}
+    counts = {name: 0 for name in sorted(DEFAULT_TAXONOMY.universe)}
     for entry in ranked.entries:
         record = businesses[entry.business_id]
         for name in record.features:

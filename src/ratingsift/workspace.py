@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .ingest import BusinessRecord, ReviewRecord
-from .sentiment import CohortScores, CorpusStats, TopicProfile
+from .sentiment import CohortScores, CorpusStats, SentimentLexicon, TopicProfile
 from .taxonomy import FeatureTaxonomy, RankEntry
 
 # Each stage in pipeline order, with the artifacts it writes. Beginning a
@@ -32,7 +32,7 @@ from .taxonomy import FeatureTaxonomy, RankEntry
 STAGES = {
     "ingest": ("businesses.jsonl", "reviews.jsonl"),
     "rank": ("taxonomy.cfg", "ranked.csv", "feature_frequency.csv"),
-    "score": ("topics.tsv", "cohort_scores.csv", "corpus_stats.json"),
+    "score": ("topics.tsv", "cohort_scores.csv", "corpus_stats.json", "lexicon.tsv"),
 }
 # The stage that writes each artifact.
 _WRITER = {name: stage for stage, names in STAGES.items() for name in names}
@@ -42,7 +42,7 @@ _WRITER = {name: stage for stage, names in STAGES.items() for name in names}
 ENTRY_KEYS = {
     "ingest": {"businesses", "files", "reviews"},
     "rank": {"cutoff", "files", "kept"},
-    "score": {"documents", "files", "k", "lexicon_path", "lexicon_sha256"},
+    "score": {"documents", "files", "k"},
 }
 
 
@@ -75,6 +75,7 @@ class Workspace:
     topics_path = _artifact("topics.tsv")
     cohort_scores_path = _artifact("cohort_scores.csv")
     corpus_stats_path = _artifact("corpus_stats.json")
+    lexicon_path = _artifact("lexicon.tsv")
     manifest_path = _artifact("manifest.json")
 
     # locking -----------------------------------------------------------
@@ -290,6 +291,17 @@ class Workspace:
         with _decoding(self.corpus_stats_path):
             obj = json.loads(data)
             return CorpusStats(n_docs=obj["n_docs"], df=obj["df"])
+
+    def write_lexicon(self, lexicon: SentimentLexicon) -> None:
+        """One term TAB valence line per entry, sorted by term."""
+        entries = sorted(lexicon.entries.items())
+        with _create(self.lexicon_path) as handle:
+            handle.writelines(f"{term}\t{valence}\n" for term, valence in entries)
+
+    def read_lexicon(self) -> SentimentLexicon:
+        data = self._read_checked(self.lexicon_path)
+        with _decoding(self.lexicon_path):
+            return SentimentLexicon.loads(data.decode("utf-8"))
 
 
 @contextmanager

@@ -72,6 +72,7 @@ WRITES = [
     ("score", "write_topics", "topics_path"),
     ("score", "write_cohort_scores", "cohort_scores_path"),
     ("score", "write_corpus_stats", "corpus_stats_path"),
+    ("score", "write_lexicon", "lexicon_path"),
 ]
 
 
@@ -111,7 +112,7 @@ def pipeline_steps(data_dir, lexicon_file, workspace):
 def changed_steps(data_dir, lexicon_file, workspace):
     """``pipeline_steps`` with settings that change what each stage writes:
     one business fewer, the variant taxonomy with cutoff 2, and k 1, which
-    leaves only corpus_stats.json as it was."""
+    leaves only corpus_stats.json and lexicon.tsv as they were."""
     lines = (data_dir / "business.json").read_text(encoding="utf-8").splitlines(keepends=True)
     fewer = data_dir / "business_fewer.json"
     fewer.write_text("".join(line for line in lines if '"other1"' not in line),
@@ -457,13 +458,20 @@ class TestExitCodes:
         assert ws.read_bytes() == b"not a workspace\n"
 
     def test_edited_lexicon(self, data_dir, lexicon_file, tmp_path, capsys):
+        # Compare scores with lexicon.tsv, the lexicon score used, so editing
+        # or deleting the input lexicon changes nothing until score reruns.
         ws = tmp_path / "ws"
         run_pipeline(data_dir, lexicon_file, ws, through="score")
-        text = lexicon_file.read_text(encoding="utf-8")
-        lexicon_file.write_text(text.replace("great\t3", "great\t2"), encoding="utf-8")
-        assert main(["compare", "--workspace", str(ws),
-                     "--a", "ref_a", "--b", "ref_b"]) == 2
-        assert str(lexicon_file) in capsys.readouterr().err
+        compare = pipeline_steps(data_dir, lexicon_file, ws)["compare"]
+        capsys.readouterr()
+        assert main(compare) == 0
+        before = capsys.readouterr().out
+        _replace(lexicon_file, "great\t3", "great\t2")
+        assert main(compare) == 0
+        assert capsys.readouterr().out == before
+        lexicon_file.unlink()
+        assert main(compare) == 0
+        assert capsys.readouterr().out == before
 
     @pytest.mark.parametrize("damage,command,named,rerun", [
         (lambda ws: _truncate_last_row(ws / "ranked.csv"),
@@ -507,6 +515,8 @@ class TestExitCodes:
         (lambda ws: _write_older_layout(ws, "reviews.jsonl"),
          "compare", "reviews.jsonl", "ingest"),
         (lambda ws: _add_tool_version(ws / "manifest.json"), "rank", "manifest.json", "ingest"),
+        (lambda ws: _replace(ws / "lexicon.tsv", "great\t3", "great\t2"),
+         "compare", "lexicon.tsv", "score"),
     ], ids=["short_ranked_row", "stats_without_df", "stats_deleted", "older_manifest",
             "stats_df_negative", "stats_df_over_n_docs", "manifest_without_digests",
             "manifest_files_as_list", "ranked_row_deleted", "stats_every_df_n",
@@ -514,7 +524,7 @@ class TestExitCodes:
             "manifest_deeply_nested", "review_deeply_nested",
             "older_business_layout_rank", "older_business_layout_compare",
             "older_review_layout_score", "older_review_layout_compare",
-            "manifest_with_tool_version"])
+            "manifest_with_tool_version", "lexicon_edited"])
     def test_damaged_workspace_names_the_file(
         self, data_dir, lexicon_file, tmp_path, capsys, damage, command, named, rerun
     ):
@@ -708,10 +718,11 @@ class TestDeterminism:
         assert runs[0] == runs[1]
 
     def test_golden_bytes(self, data_dir, lexicon_file, tmp_path, capsys):
-        # Reruns only show that the writers are deterministic; these digests,
-        # taken before the writers stopped going through csv and json.dump,
-        # pin the bytes themselves. They cover every artifact but the
-        # manifest, whose layout changes with the version.
+        # Reruns only show that the writers are deterministic; these digests
+        # pin the bytes themselves, those of the artifacts from before the
+        # writers stopped going through csv and json.dump. The manifest holds
+        # no path, so it is pinned too: each stage's counters, settings and
+        # file digests.
         ws = tmp_path / "ws"
         digests = {}
         for name, argv in pipeline_steps(data_dir, lexicon_file, ws).items():
@@ -723,7 +734,8 @@ class TestDeterminism:
 
 
 GOLDEN_FILES = ("businesses.jsonl", "reviews.jsonl", "taxonomy.cfg", "ranked.csv",
-                "feature_frequency.csv", "topics.tsv", "cohort_scores.csv", "corpus_stats.json")
+                "feature_frequency.csv", "topics.tsv", "cohort_scores.csv", "corpus_stats.json",
+                "lexicon.tsv", "manifest.json")
 GOLDEN = {
     "ingest stdout": "6b772b275851d633ca442ef5874538b392520c2584baae0ae849396d933e4511",
     "rank stdout": "df46c02368691db9a33ce150665c5b36eaf12f04686bc28a3c5a5903e13f53af",
@@ -738,6 +750,8 @@ GOLDEN = {
     "topics.tsv": "8debdcc078d9fba70187269fa003aa304e44e56670c49b38ead147f8a6183af3",
     "cohort_scores.csv": "3b090a03b27e1b068145a39e648518ec7ac332b03414cfa2855f8f9248e896ff",
     "corpus_stats.json": "7602a166f88a4198c5a636af54ec6dfddff34a142846d95102fbfba7afc9cc97",
+    "lexicon.tsv": "8b88c90b82a46511ee142b85f02241418362c8c11cfd710cc4f8b9a5fe0745c8",
+    "manifest.json": "b7e9fce7f89b416f0c7c14791e9a56b9e3e1ab5e889b74c979606cbecd1f1c90",
 }
 
 
@@ -953,7 +967,7 @@ def _write_older_manifest(path):
         "config_hash": stages["rank"]["files"]["taxonomy.cfg"],
         "cutoff": stages["rank"]["cutoff"],
         "k": stages["score"]["k"],
-        "lexicon_path": stages["score"]["lexicon_path"],
+        "lexicon_path": "/data/lexicon.txt",
         "stages": {
             "ingest": {"businesses": stages["ingest"]["businesses"],
                        "reviews": stages["ingest"]["reviews"]},

@@ -1,10 +1,13 @@
 """Tokenization, TF-IDF topics, and lexicon sentiment."""
 
 import math
+import string
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ratingsift import (
@@ -12,6 +15,7 @@ from ratingsift import (
     LexiconCounters,
     SentimentLexicon,
     StarDocument,
+    Workspace,
     build_star_documents,
     build_topic_profiles,
     cohort_scores,
@@ -421,3 +425,40 @@ def test_sentiment_score_matches_set_sum_oracle(terms, entries):
     lexicon = SentimentLexicon(entries=entries)
     expected = sum(entries.get(t, 0) for t in set(terms))
     assert sentiment_score(terms, lexicon) == expected
+
+
+# Lexicon text: raw runs of these characters, term TAB valence lines, and
+# every line break that str.splitlines knows, of which a text-mode file
+# breaks only at "\n", "\r" and "\r\n".
+_LEXICON_CHARS = string.ascii_letters + string.digits + "- \t\n\r\x0b\x85\u2028"
+lexicon_texts = st.lists(
+    st.one_of(
+        st.text(_LEXICON_CHARS, max_size=12),
+        st.builds("{}\t{}".format, st.text(_LEXICON_CHARS, min_size=1, max_size=8),
+                  st.integers(min_value=-7, max_value=7)),
+        st.sampled_from(["\n", "\r", "\r\n", "\x0b", "\x85", "\u2028"]),
+    ),
+    max_size=12,
+).map("".join)
+
+
+@given(lexicon_texts)
+@example("good\t2\x85bad\t-3")  # one malformed line, not two entries
+@settings(max_examples=200, deadline=None)
+def test_loads_agrees_with_load(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lexicon.txt"
+        path.write_bytes(text.encode())
+        from_text, from_file = LexiconCounters(), LexiconCounters()
+        lexicon = SentimentLexicon.loads(text, from_text)
+        assert SentimentLexicon.load(path, from_file) == lexicon
+        assert from_file == from_text
+        # Each line that is not blank, as a text-mode file yields them, is
+        # counted once: loaded or skipped.
+        with open(path, encoding="utf-8") as handle:
+            lines = sum(1 for line in handle if line.strip())
+        assert from_text.loaded + from_text.skipped_multiword + from_text.skipped_malformed == lines
+        workspace = Workspace(tmp)
+        workspace.write_lexicon(lexicon)
+        written = workspace.lexicon_path.read_bytes().decode("utf-8")
+        assert SentimentLexicon.loads(written) == lexicon

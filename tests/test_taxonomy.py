@@ -317,7 +317,7 @@ class TestFeatureFrequency:
             "b3": make_business("b3", {"wifi", "hastv", "lot"}),
         }
         ranked = rank_restaurants(businesses.values(), cutoff=2)
-        freq = feature_frequency(ranked, businesses, DEFAULT_TAXONOMY)
+        freq = feature_frequency(ranked, businesses)
         assert freq["wifi"] == 2
         assert freq["hastv"] == 2
         assert freq["lot"] == 1
@@ -325,6 +325,6 @@ class TestFeatureFrequency:
     def test_covers_whole_universe_with_zeros(self):
         businesses = {"b1": make_business("b1", {"wifi"})}
         ranked = rank_restaurants(businesses.values())
-        freq = feature_frequency(ranked, businesses, DEFAULT_TAXONOMY)
+        freq = feature_frequency(ranked, businesses)
         assert set(freq) == set(UNIVERSE)
         assert freq["valet"] == 0

@@ -31,7 +31,7 @@ from conftest import make_business, make_review
 STAGE_ARTIFACTS = [
     ("ingest", ("businesses_path", "reviews_path")),
     ("rank", ("taxonomy_path", "ranked_path", "frequency_path")),
-    ("score", ("topics_path", "cohort_scores_path", "corpus_stats_path")),
+    ("score", ("topics_path", "cohort_scores_path", "corpus_stats_path", "lexicon_path")),
 ]
 
 # A manifest entry of each stage, as the commands pass it to record_stage,
@@ -39,8 +39,7 @@ STAGE_ARTIFACTS = [
 ENTRIES = {
     "ingest": {"businesses": {"parsed": 2}, "reviews": {"parsed": 5}},
     "rank": {"cutoff": 0, "kept": 2},
-    "score": {"documents": 3, "k": 10, "lexicon_path": "lexicon.txt",
-              "lexicon_sha256": "5eed"},
+    "score": {"documents": 3, "k": 10},
 }
 
 

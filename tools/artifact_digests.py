@@ -63,8 +63,6 @@ def files(ws: Path) -> tuple:
 
 
 def digests(workload, corpus_dir: Path, src: Path) -> dict:
-    # Absolute, because score records the lexicon's path in the manifest.
-    corpus_dir = corpus_dir.resolve()
     corpus = SimpleNamespace(business_path=corpus_dir / "business.json",
                              reviews_path=corpus_dir / "review.json",
                              lexicon_path=corpus_dir / "lexicon.txt")
