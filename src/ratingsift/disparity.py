@@ -8,8 +8,7 @@ carried for display but never influence the verdict.
 """
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .ingest import BusinessRecord
 from .taxonomy import DEFAULT_TAXONOMY, FeatureTaxonomy, weighted_feature_score
@@ -65,8 +64,7 @@ def verdict(deficiency_a: float, deficiency_b: float, net: int) -> str:
     return INCONCLUSIVE
 
 
-@dataclass(frozen=True)
-class DisparityReport:
+class DisparityReport(NamedTuple):
     """Full pairwise comparison output.
 
     The sentiment maps carry only populated star levels; an absent key is
@@ -93,7 +91,7 @@ class DisparityReport:
         """JSON-ready dict with exactly the report's fields, in field order;
         sets sorted, star maps keyed by strings in star order."""
         return {
-            **vars(self),
+            **self._asdict(),
             "common": sorted(self.common),
             "missing_a": sorted(self.missing_a),
             "missing_b": sorted(self.missing_b),

@@ -21,8 +21,7 @@ stars and text; its id is read only to drop duplicates.
 import functools
 import json
 import re
-from dataclasses import asdict, dataclass
-from typing import IO, Callable, Iterable, Iterator, Union
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Union
 
 from .taxonomy import DEFAULT_TAXONOMY
 
@@ -62,8 +61,37 @@ class IngestError(Exception):
     """Fatal ingest failure: the input stream itself cannot be read."""
 
 
-@dataclass
-class BusinessCounters:
+class _Counters:
+    """Mutable integer counters, each starting at zero. A subclass names its
+    counters in ``__slots__``, in the order ``as_dict`` gives them."""
+
+    __slots__ = ()
+
+    def __init__(self, *counts: int, **named: int):
+        names = self.__slots__
+        given = dict(zip(names, counts))
+        if len(counts) > len(names) or not named.keys() <= set(names) - given.keys():
+            raise TypeError(
+                f"{type(self).__name__} takes the counters {', '.join(names)}, each once"
+            )
+        given.update(named)
+        for name in names:
+            setattr(self, name, given.get(name, 0))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.as_dict() == other.as_dict()
+
+    def __repr__(self) -> str:
+        counts = ", ".join(f"{name}={count}" for name, count in self.as_dict().items())
+        return f"{type(self).__name__}({counts})"
+
+    def as_dict(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+
+class BusinessCounters(_Counters):
     """Line accounting for a business parse pass.
 
     parsed + skipped_malformed + skipped_non_restaurant equals the number of
@@ -72,35 +100,31 @@ class BusinessCounters:
     parser does not track ids).
     """
 
-    parsed: int = 0
-    skipped_malformed: int = 0
-    skipped_non_restaurant: int = 0
-    skipped_duplicate_id: int = 0
-    attribute_fallbacks: int = 0
-    unknown_feature_names: int = 0
+    __slots__ = (
+        "parsed",
+        "skipped_malformed",
+        "skipped_non_restaurant",
+        "skipped_duplicate_id",
+        "attribute_fallbacks",
+        "unknown_feature_names",
+    )
 
-    def as_dict(self) -> dict:
-        return asdict(self)
 
-
-@dataclass
-class ReviewCounters:
+class ReviewCounters(_Counters):
     """Line accounting for a review parse pass; same exactness contract.
     As for businesses, ``skipped_duplicate_id`` is only touched by
     ``load_reviews``, which reads the review ids the records do not keep."""
 
-    parsed: int = 0
-    skipped_malformed: int = 0
-    skipped_unknown_business: int = 0
-    skipped_bad_stars: int = 0
-    skipped_duplicate_id: int = 0
+    __slots__ = (
+        "parsed",
+        "skipped_malformed",
+        "skipped_unknown_business",
+        "skipped_bad_stars",
+        "skipped_duplicate_id",
+    )
 
-    def as_dict(self) -> dict:
-        return asdict(self)
 
-
-@dataclass(frozen=True)
-class BusinessRecord:
+class BusinessRecord(NamedTuple):
     """One restaurant, immutable once constructed.
 
     ``features`` is the flattened canonical feature set, always a subset of
@@ -113,18 +137,15 @@ class BusinessRecord:
     review_count: int
     features: frozenset[str]
 
-    # Both record types serialize from vars(): dataclasses.asdict would
-    # deep-copy every value, and these run once per record written.
     def to_json_dict(self) -> dict:
-        return {**vars(self), "features": sorted(self.features)}
+        return {**self._asdict(), "features": sorted(self.features)}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "BusinessRecord":
         return cls(**{**obj, "features": frozenset(obj["features"])})
 
 
-@dataclass(frozen=True)
-class ReviewRecord:
+class ReviewRecord(NamedTuple):
     """One review, as score and compare read it; no id, user or date is kept."""
 
     business_id: str
@@ -132,7 +153,7 @@ class ReviewRecord:
     text: str
 
     def to_json_dict(self) -> dict:
-        return dict(vars(self))
+        return self._asdict()
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ReviewRecord":

@@ -11,11 +11,10 @@ import io
 import math
 import re
 from collections import Counter
-from dataclasses import asdict, dataclass
 from operator import mul, neg
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .ingest import ReviewRecord
+from .ingest import ReviewRecord, _Counters
 from .stopwords import STOPWORDS
 
 _TOKEN_RE = re.compile(r"[^\W_]+")
@@ -31,8 +30,7 @@ def tokenize(text: str) -> list[str]:
     ]
 
 
-@dataclass(frozen=True)
-class StarDocument:
+class StarDocument(NamedTuple):
     """Aggregated term counts for one (business, star) pair."""
 
     business_id: str
@@ -174,28 +172,40 @@ def top_terms(doc: StarDocument, stats: CorpusStats, k: int) -> list[tuple[str, 
     return [(term, -minus_w) for minus_w, term in ranked if minus_w < 0.0]
 
 
-@dataclass
-class LexiconCounters:
-    loaded: int = 0
-    skipped_multiword: int = 0
-    skipped_malformed: int = 0
-
-    def as_dict(self) -> dict:
-        return asdict(self)
+class LexiconCounters(_Counters):
+    __slots__ = ("loaded", "skipped_multiword", "skipped_malformed")
 
 
-@dataclass(frozen=True)
 class SentimentLexicon:
-    """Term -> integer valence in [-5, 5], terms lowercase."""
+    """Term -> integer valence in [-5, 5], terms lowercase; validated at
+    construction and read-only."""
 
-    entries: Mapping[str, int]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        for term, valence in self.entries.items():
+    def __init__(self, entries: Mapping[str, int]):
+        for term, valence in entries.items():
             if not term or term != term.lower() or any(c.isspace() for c in term):
                 raise ValueError(f"bad lexicon term {term!r}: lowercase single words only")
             if not isinstance(valence, int) or isinstance(valence, bool) or not -5 <= valence <= 5:
                 raise ValueError(f"valence for {term!r} must be an integer in [-5, 5]")
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"SentimentLexicon is read-only: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __repr__(self) -> str:
+        return f"SentimentLexicon(entries={self.entries!r})"
+
+    def __reduce__(self):
+        # Rebuilt through __init__, so copy and pickle never set a slot.
+        return type(self), (self.entries,)
 
     def valence(self, term: str) -> int:
         return self.entries.get(term, 0)
@@ -253,8 +263,7 @@ def sentiment_score(terms: Iterable[str], lexicon: SentimentLexicon) -> int:
     return sum(map(lexicon.valence, set(terms)))
 
 
-@dataclass(frozen=True)
-class TopicProfile:
+class TopicProfile(NamedTuple):
     """Top-k topics and their sentiment score for one (business, star) pair."""
 
     business_id: str
@@ -285,8 +294,7 @@ def build_topic_profiles(
     return profiles
 
 
-@dataclass(frozen=True)
-class CohortScores:
+class CohortScores(NamedTuple):
     """Combined and average sentiment per star level over one cohort.
 
     ``populated_counts[s]`` is the number of (business, star) profiles at

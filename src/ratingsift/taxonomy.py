@@ -11,9 +11,8 @@ restaurants by raw feature count. The shipped taxonomies are stated in
 import configparser
 import io
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 
 _MICRO = 1_000_000  # weights have at most six decimals: integers in millionths
@@ -23,7 +22,6 @@ class UnknownFeatureError(ValueError):
     """Raised when a feature name is not part of the taxonomy universe."""
 
 
-@dataclass(frozen=True)
 class FeatureTaxonomy:
     """Immutable category -> feature-name partition plus per-category weights.
 
@@ -32,19 +30,18 @@ class FeatureTaxonomy:
     and hold no surrounding whitespace or line break; feature names are
     non-empty, lowercase single words. So ``loads(dumps())`` gives back an
     equal taxonomy; all of this is validated at construction. Instances are
-    safe to share between threads.
+    read-only and safe to share between threads.
     """
 
-    categories: Mapping[str, frozenset[str]]
-    weights: Mapping[str, float]
+    __slots__ = ("categories", "weights", "_category", "_micro_weight")
 
-    def __post_init__(self):
-        if set(self.categories) != set(self.weights):
+    def __init__(self, categories: Mapping[str, frozenset[str]], weights: Mapping[str, float]):
+        if set(categories) != set(weights):
             raise ValueError("categories and weights must name the same category set")
-        if not self.categories:
+        if not categories:
             raise ValueError("taxonomy needs at least one category")
         seen: dict[str, str] = {}
-        for category, names in self.categories.items():
+        for category, names in categories.items():
             if (not category or category != category.strip().lower()
                     or "\r" in category or "\n" in category):
                 raise ValueError(
@@ -63,19 +60,38 @@ class FeatureTaxonomy:
                         f"feature {name!r} appears in both {seen[name]!r} and {category!r}"
                     )
                 seen[name] = category
-        for category, weight in self.weights.items():
+        for category, weight in weights.items():
             micro = weight * _MICRO
             if not (math.isfinite(micro) and weight >= 0 and round(micro) / _MICRO == weight):
                 raise ValueError(
                     f"category {category!r} needs a finite, non-negative weight "
                     f"of at most six decimals, not {weight}"
                 )
+        object.__setattr__(self, "categories", categories)
+        object.__setattr__(self, "weights", weights)
         # The one feature -> category table; universe and lookups read it.
         object.__setattr__(self, "_category", seen)
         # Each feature's weight in millionths, for exact sums.
         object.__setattr__(self, "_micro_weight", {
-            name: round(self.weights[category] * _MICRO) for name, category in seen.items()
+            name: round(weights[category] * _MICRO) for name, category in seen.items()
         })
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"FeatureTaxonomy is read-only: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.categories, self.weights) == (other.categories, other.weights)
+
+    def __repr__(self) -> str:
+        return f"FeatureTaxonomy(categories={self.categories!r}, weights={self.weights!r})"
+
+    def __reduce__(self):
+        # Rebuilt through __init__, so copy and pickle never set a slot.
+        return type(self), (self.categories, self.weights)
 
     @property
     def universe(self) -> frozenset[str]:
@@ -158,15 +174,13 @@ def weighted_feature_score(
         raise UnknownFeatureError(f"unknown feature name: {exc.args[0]!r}") from None
 
 
-@dataclass(frozen=True)
-class RankEntry:
+class RankEntry(NamedTuple):
     business_id: str
     feature_count: int
     weighted_score: float
 
 
-@dataclass(frozen=True)
-class RankedList:
+class RankedList(NamedTuple):
     """Businesses ordered by feature count, deterministic under ties."""
 
     entries: tuple[RankEntry, ...]

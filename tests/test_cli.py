@@ -7,16 +7,17 @@ import hashlib
 import json
 import math
 import os
+import random
+import shutil
 import signal
 import subprocess
 import sys
 import time
-import weakref
 from pathlib import Path
 
 import pytest
 
-from ratingsift import Workspace, alcohol_amenity_taxonomy, cli
+from ratingsift import DEFAULT_TAXONOMY, ReviewRecord, Workspace, alcohol_amenity_taxonomy, cli
 from ratingsift.cli import main
 from ratingsift.workspace import STAGES
 
@@ -803,19 +804,27 @@ def _open_fifo_writer(fifo, child, timeout=30.0):
 def test_score_frees_reviews_before_profiling(data_dir, lexicon_file, tmp_path, monkeypatch):
     ws = tmp_path / "ws"
     run_pipeline(data_dir, lexicon_file, ws, through="rank")
-    refs = []
+    read, freed = [], []
     read_reviews = Workspace.read_reviews
     build_topic_profiles = cli.build_topic_profiles
 
+    # A named tuple takes no weak reference, so a finalizer counts the frees.
+    class FreedReview(ReviewRecord):
+        __slots__ = ()
+
+        def __del__(self):
+            freed.append(1)
+
     def tracked_read(self, *args, **kwargs):
         records = read_reviews(self, *args, **kwargs)
-        refs.extend(map(weakref.ref, records))
+        read.append(len(records))
         return records
 
     def profile_after_free(*args, **kwargs):
-        assert refs and all(ref() is None for ref in refs), "reviews still alive"
+        assert len(freed) == sum(read) > 0, "reviews still alive"
         return build_topic_profiles(*args, **kwargs)
 
+    monkeypatch.setattr("ratingsift.workspace.ReviewRecord", FreedReview)
     monkeypatch.setattr(Workspace, "read_reviews", tracked_read)
     monkeypatch.setattr(cli, "build_topic_profiles", profile_after_free)
     assert main(pipeline_steps(data_dir, lexicon_file, ws)["score"]) == 0
@@ -835,6 +844,94 @@ def test_cli_import_reads_configs_by_path():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+def test_cli_import_loads_no_dataclasses():
+    # Every command is a short process that pays for its imports; dataclasses
+    # alone pulls in inspect, ast and dis. Measured against the bare
+    # interpreter, so modules an environment's site imports do not count.
+    src = Path(__file__).resolve().parent.parent / "src"
+
+    def loaded(statement):
+        result = subprocess.run(
+            [sys.executable, "-c", f"{statement}; import sys; print(*sys.modules)"],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        return set(result.stdout.split())
+
+    added = loaded("import ratingsift.cli") - loaded("pass")
+    assert "ratingsift.cli" in added
+    assert not added & {"dataclasses", "inspect"}
+
+
+MIRRORED_VERDICT = {"favored_a": "favored_b", "favored_b": "favored_a",
+                    "inconclusive": "inconclusive"}
+
+
+@pytest.fixture
+def varied_workspace(tmp_path, lexicon_file):
+    """A scored workspace over six restaurants with seeded random features
+    and reviews, so pairs differ in features, sentiment and verdict; with
+    the restaurant ids."""
+    rng = random.Random(1212)
+    universe = sorted(DEFAULT_TAXONOMY.universe)
+    words = ["great", "tasty", "friendly", "delicious", "slow", "bland", "rude", "dirty",
+             "pasta", "menu", "table", "price", "waiter", "soup"]
+    ids = [f"v{i}" for i in range(6)]
+    data = tmp_path / "varied"
+    data.mkdir()
+    (data / "business.json").write_text("".join(
+        business_line(business_id, stars=rng.choice([2.0, 3.5, 4.5]), attributes=attributes_for(
+            rng.sample(universe, rng.randint(0, len(universe))))) + "\n"
+        for business_id in ids
+    ), encoding="utf-8")
+    (data / "review.json").write_text("".join(
+        review_line(f"r{n:03d}", rng.choice(ids), rng.randint(1, 5),
+                    " ".join(rng.choices(words, k=6))) + "\n"
+        for n in range(150)
+    ), encoding="utf-8")
+    ws = tmp_path / "ws"
+    run_pipeline(data, lexicon_file, ws, through="score")
+    return ws, ids
+
+
+def _compare(ws, a, b, fmt, capsys):
+    capsys.readouterr()
+    assert main(["compare", "--workspace", str(ws), "--a", a, "--b", b, "--format", fmt]) == 0
+    return capsys.readouterr().out
+
+
+def test_swapped_pair_mirrors_the_json_report(varied_workspace, capsys):
+    ws, ids = varied_workspace
+    verdicts = set()
+    for i, a in enumerate(ids):
+        for b in ids[i:]:
+            forward, backward = (json.loads(_compare(ws, x, y, "json", capsys))
+                                 for x, y in ((a, b), (b, a)))
+            mirrored = {
+                "common": forward["common"],
+                "delta": {star: -gap for star, gap in forward["delta"].items()},
+                "net": -forward["net"],
+                "verdict": MIRRORED_VERDICT[forward["verdict"]],
+            }
+            for name, value in forward.items():
+                if name.endswith(("_a", "_b")):
+                    mirrored[name[:-1] + {"a": "b", "b": "a"}[name[-1]]] = value
+            assert backward == mirrored, (a, b)
+            verdicts.add(forward["verdict"])
+    assert verdicts == set(MIRRORED_VERDICT)
+
+
+def test_copied_workspace_gives_the_same_compare_bytes(varied_workspace, tmp_path, capsys):
+    ws, ids = varied_workspace
+    pairs = [(a, b, fmt) for a in ids for b in ids for fmt in ("json", "text")]
+    before = [_compare(ws, *pair, capsys) for pair in pairs]
+    copy = tmp_path / "elsewhere" / "copy"
+    shutil.copytree(ws, copy)
+    shutil.rmtree(ws)
+    assert [_compare(copy, *pair, capsys) for pair in pairs] == before
 
 
 def _new_prefix_old_tail(new, old):
