@@ -33,7 +33,7 @@ def main():
     print()
     print("=== one record, start to finish ===")
     record = businesses["canal_house"]
-    print(f"{record.name} ({record.business_id}), overall {record.overall_stars} stars")
+    print(f"{record.business_id}, overall {record.overall_stars} stars")
     # The record keeps only the flattened features; the raw strings are in
     # the dump's line for this business.
     raw_attributes = json.loads(_dump_line(record.business_id))["attributes"]

@@ -28,10 +28,7 @@ def compare_features(
     Returns (common, missing_a, missing_b): common = a ∩ b, missing_a are
     features b has that a lacks, missing_b the reverse.
     """
-    common = a.features & b.features
-    missing_a = b.features - a.features
-    missing_b = a.features - b.features
-    return frozenset(common), frozenset(missing_a), frozenset(missing_b)
+    return a.features & b.features, b.features - a.features, a.features - b.features
 
 
 def weighted_deficiency(

@@ -13,9 +13,9 @@ entries with quoted or bare keys. Any other Python literal syntax is an
 opaque string token, counted as a fallback. Raw values repeat heavily, so
 each business parse keeps a cache of at most 4096 flattened values, which
 bounds its memory; the counters stay exact because cached counts are added
-on every use. A business record keeps the flattened features, not the raw
-strings, and only restaurants are kept. A review record keeps its business,
-stars and text; its id is read only to drop duplicates.
+on every use. A business record keeps its id, overall stars and flattened
+features, not the raw strings, and only restaurants are kept. A review record
+keeps its business, stars and text; its id is read only to drop duplicates.
 """
 
 import functools
@@ -125,24 +125,15 @@ class ReviewCounters(_Counters):
 
 
 class BusinessRecord(NamedTuple):
-    """One restaurant, immutable once constructed.
+    """One restaurant, immutable once constructed: what rank and compare read.
 
     ``features`` is the flattened canonical feature set, always a subset of
     the built-in features; the raw attribute strings are not kept.
     """
 
     business_id: str
-    name: str
     overall_stars: float
-    review_count: int
     features: frozenset[str]
-
-    def to_json_dict(self) -> dict:
-        return {**self._asdict(), "features": sorted(self.features)}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "BusinessRecord":
-        return cls(**{**obj, "features": frozenset(obj["features"])})
 
 
 class ReviewRecord(NamedTuple):
@@ -151,13 +142,6 @@ class ReviewRecord(NamedTuple):
     business_id: str
     stars: int
     text: str
-
-    def to_json_dict(self) -> dict:
-        return self._asdict()
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "ReviewRecord":
-        return cls(**obj)
 
 
 def parse_attribute_value(raw: str, counters: BusinessCounters | None = None) -> AttributeValue:
@@ -338,8 +322,9 @@ def _is_restaurant(categories) -> bool:
 def _build_business(
     obj: dict, counters: BusinessCounters, flatten_attribute: Callable[[str, str], _Flattened]
 ) -> BusinessRecord | None:
-    """Build a record from one decoded JSON object; None when malformed. The
-    categories are not read, so a non-restaurant's attributes count too."""
+    """Build a record from one decoded JSON object; None when malformed.
+    ``review_count`` is checked but not kept, and ``name`` is not read. The
+    categories are not read either, so a non-restaurant's attributes count too."""
     business_id = obj.get("business_id")
     # ranked.csv could not hold "\r" (csv leaves it bare before Python 3.13)
     # or NUL (csv refuses it on 3.10), so such an id is malformed.
@@ -362,12 +347,9 @@ def _build_business(
     if not isinstance(attributes, dict):
         return None
     raw_attributes = {str(k): _stringify_attribute(v) for k, v in attributes.items()}
-    name = obj.get("name")
     return BusinessRecord(
         business_id=business_id,
-        name=name if isinstance(name, str) else "",
         overall_stars=float(stars),
-        review_count=review_count,
         features=_flatten_raw(raw_attributes, counters, flatten_attribute),
     )
 

@@ -181,30 +181,36 @@ class Workspace:
 
     # record files ------------------------------------------------------
     #
-    # A reader hashes the whole file as it streams it and checks the digest
-    # once the last line is read, so it may skip the lines of businesses it
-    # does not want and still catch any edit to the file.
+    # One line per record: its fields as a compact, key-sorted JSON object,
+    # so every line starts with {"business_id": (see _id_token). A business's
+    # features are a sorted list. A reader hashes the whole file as it
+    # streams it and checks the digest once the last line is read, so it may
+    # skip the lines of businesses it does not want and still catch any edit
+    # to the file.
 
     def write_businesses(self, records: Iterable[BusinessRecord]) -> None:
-        _write_jsonl(self.businesses_path, (r.to_json_dict() for r in records))
+        _write_jsonl(self.businesses_path, (
+            {**r._asdict(), "features": sorted(r.features)} for r in records
+        ))
 
     def read_businesses(self, business_ids=None) -> dict[str, BusinessRecord]:
         """The business records by id; only those in ``business_ids`` when given."""
-        records = self._read_records(self.businesses_path, BusinessRecord, business_ids)
+        records = self._read_records(self.businesses_path, _business_record, business_ids)
         return {record.business_id: record for record in records}
 
     def write_reviews(self, reviews: Iterable[ReviewRecord]) -> None:
-        _write_jsonl(self.reviews_path, (r.to_json_dict() for r in reviews))
+        _write_jsonl(self.reviews_path, (r._asdict() for r in reviews))
 
     def read_reviews(self, business_ids=None) -> list[ReviewRecord]:
         """The reviews in file order; only those of ``business_ids`` when given."""
-        return self._read_records(self.reviews_path, ReviewRecord, business_ids)
+        return self._read_records(self.reviews_path, _review_record, business_ids)
 
-    def _read_records(self, path: Path, record_cls, business_ids) -> list:
+    def _read_records(self, path: Path, build, business_ids) -> list:
         # Lines are compared by the writer's own encoding of the id, so a
         # line whose id is not wanted is never decoded. A wanted line is
         # decoded up to the end of its object; the digest catches anything
-        # an edit put after it.
+        # an edit put after it. A record is built under _decoding too, so a
+        # line with fields another version wrote (TypeError) is damage.
         wanted = None if business_ids is None else {
             json.dumps(business_id).encode() for business_id in business_ids
         }
@@ -213,7 +219,7 @@ class Workspace:
             for raw in handle:
                 digest.update(raw)
                 if wanted is None or _id_token(raw) in wanted:
-                    records.append(record_cls.from_json_dict(_raw_decode(raw.decode("utf-8"))[0]))
+                    records.append(build(_raw_decode(raw.decode("utf-8"))[0]))
         return records
 
     # rank artifacts ----------------------------------------------------
@@ -356,6 +362,14 @@ def _write_jsonl(path: Path, objects: Iterable[dict]) -> None:
         for obj in objects:
             handle.write(json.dumps(obj, sort_keys=True, separators=(",", ":")))
             handle.write("\n")
+
+
+def _business_record(obj: dict) -> BusinessRecord:
+    return BusinessRecord(**{**obj, "features": frozenset(obj["features"])})
+
+
+def _review_record(obj: dict) -> ReviewRecord:
+    return ReviewRecord(**obj)
 
 
 _raw_decode = json.JSONDecoder().raw_decode

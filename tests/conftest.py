@@ -119,13 +119,11 @@ def review_line(review_id, business_id, stars, text, user_id="user001",
     return json.dumps(obj)
 
 
-def make_business(business_id, features, stars=3.5, review_count=25):
+def make_business(business_id, features, stars=3.5):
     """Record built directly, for tests that start past the parsing layer."""
     return BusinessRecord(
         business_id=business_id,
-        name=f"Place {business_id}",
         overall_stars=stars,
-        review_count=review_count,
         features=frozenset(features),
     )
 

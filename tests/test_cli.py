@@ -511,6 +511,10 @@ class TestExitCodes:
          "rank", "businesses.jsonl", "ingest"),
         (lambda ws: _write_older_layout(ws, "businesses.jsonl"),
          "compare", "businesses.jsonl", "ingest"),
+        (lambda ws: _write_older_layout(ws, "businesses.jsonl", 1),
+         "rank", "businesses.jsonl", "ingest"),
+        (lambda ws: _write_older_layout(ws, "businesses.jsonl", 1),
+         "compare", "businesses.jsonl", "ingest"),
         (lambda ws: _write_older_layout(ws, "reviews.jsonl"),
          "score", "reviews.jsonl", "ingest"),
         (lambda ws: _write_older_layout(ws, "reviews.jsonl"),
@@ -524,6 +528,7 @@ class TestExitCodes:
             "taxonomy_weight_edited", "taxonomy_whitespace_edited",
             "manifest_deeply_nested", "review_deeply_nested",
             "older_business_layout_rank", "older_business_layout_compare",
+            "named_business_layout_rank", "named_business_layout_compare",
             "older_review_layout_score", "older_review_layout_compare",
             "manifest_with_tool_version", "lexicon_edited"])
     def test_damaged_workspace_names_the_file(
@@ -743,7 +748,7 @@ GOLDEN = {
     "score stdout": "d1c8ba1c78c6f4969aebd0c9eb675fee3bf060eb8ea793f97f264d0589d18257",
     # Deficiencies are exact decimal sums, so one digest holds on every version.
     "compare stdout": "470b35491064a9443524f9ff5944c25f9fd5fb6c258a5576e07b45e924b9a1a1",
-    "businesses.jsonl": "10dff046c324685017b9e42c805a292388c0232b29fa74568edede84aede76a4",
+    "businesses.jsonl": "2579d63e1e8a72f7bb0e5dabe3da4bcaa4ed19f28358abd5ad7f9bb7cfa53d93",
     "reviews.jsonl": "88f864290328f40c944cff27038f09119d7b80d9d1874911cb0b509b5e2985f9",
     "taxonomy.cfg": "d9b0958ba1666d0c230c9446b00059996dcee389418becde2bf1739ade161f72",
     "ranked.csv": "b1d84af2ffbc9e349c0de1c330ca7557f09e44f3fcd832dd8bf44aeb221929e0",
@@ -752,7 +757,7 @@ GOLDEN = {
     "cohort_scores.csv": "3b090a03b27e1b068145a39e648518ec7ac332b03414cfa2855f8f9248e896ff",
     "corpus_stats.json": "7602a166f88a4198c5a636af54ec6dfddff34a142846d95102fbfba7afc9cc97",
     "lexicon.tsv": "8b88c90b82a46511ee142b85f02241418362c8c11cfd710cc4f8b9a5fe0745c8",
-    "manifest.json": "b7e9fce7f89b416f0c7c14791e9a56b9e3e1ab5e889b74c979606cbecd1f1c90",
+    "manifest.json": "ae292aa8c532eadba399a52f7866fae653831b7c5bec3a46c424d1e2a0dcddf6",
 }
 
 
@@ -994,9 +999,9 @@ def _edit_other1(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     i = _other1_line(lines)
     obj = json.loads(lines[i])
-    key = "name" if "name" in obj else "text"
-    lines[i] = json.dumps({**obj, key: obj[key] + " edited"}, sort_keys=True,
-                          separators=(",", ":"))
+    edit = ({"overall_stars": obj["overall_stars"] + 0.5} if "overall_stars" in obj
+            else {"text": obj["text"] + " edited"})
+    lines[i] = json.dumps({**obj, **edit}, sort_keys=True, separators=(",", ":"))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -1031,19 +1036,22 @@ def _list_ingest_files(path):
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-# Fields that earlier versions wrote in each record of a file.
+# Fields that earlier versions wrote in each record of a file, one layout each.
 _OLDER_FIELDS = {
-    "businesses.jsonl": {"is_restaurant": True, "raw_attributes": {"HasTV": "True"}},
-    "reviews.jsonl": {"date": "2016-05-01", "review_id": "r1", "user_id": "user001"},
+    "businesses.jsonl": (
+        {"is_restaurant": True, "raw_attributes": {"HasTV": "True"}},
+        {"name": "Place", "review_count": 25},
+    ),
+    "reviews.jsonl": ({"date": "2016-05-01", "review_id": "r1", "user_id": "user001"},),
 }
 
 
-def _write_older_layout(ws, name):
-    """Rewrite the record file ``name`` as earlier versions wrote it, with
-    their fields in each record, and record its digest in the manifest, so
-    only the record layout is old."""
+def _write_older_layout(ws, name, layout=0):
+    """Rewrite the record file ``name`` as an earlier version wrote it, with
+    the fields of its ``layout`` in each record, and record its digest in the
+    manifest, so only the record layout is old."""
     path = ws / name
-    old_fields = _OLDER_FIELDS[name]
+    old_fields = _OLDER_FIELDS[name][layout]
     lines = [
         json.dumps({**json.loads(line), **old_fields}, sort_keys=True, separators=(",", ":"))
         for line in path.read_text(encoding="utf-8").splitlines()

@@ -21,14 +21,12 @@ from ratingsift import (
     parse_reviews,
 )
 from ratingsift import ingest
-from ratingsift.ingest import BusinessRecord, ReviewRecord
 
 from conftest import (
     REFERENCE_A_FEATURES,
     REFERENCE_B_FEATURES,
     attributes_for,
     business_line,
-    make_business,
     review_line,
 )
 
@@ -451,12 +449,12 @@ class TestLoaders:
     def test_load_businesses_dedupes_first_wins(self, tmp_path):
         path = tmp_path / "business.json"
         path.write_text(
-            business_line("b1", name="First") + "\n"
-            + business_line("b1", name="Second") + "\n",
+            business_line("b1", stars=4.0) + "\n"
+            + business_line("b1", stars=2.5) + "\n",
             encoding="utf-8",
         )
         records, counters = load_businesses(path)
-        assert records["b1"].name == "First"
+        assert records["b1"].overall_stars == 4.0
         assert counters.skipped_duplicate_id == 1
         assert counters.parsed == 2
 
@@ -497,21 +495,6 @@ class TestLoaders:
         reviews, counters = load_reviews(path, {"b1"})
         assert reviews[0].text == "nice"
         assert counters.parsed == 1
-
-
-class TestRecordSerialization:
-    def test_business_round_trip(self):
-        record = make_business("b1", {"wifi", "dinner"})
-        assert BusinessRecord.from_json_dict(record.to_json_dict()) == record
-
-    def test_review_round_trip(self):
-        review = ReviewRecord(business_id="b1", stars=4, text="good")
-        assert review.to_json_dict() == {"business_id": "b1", "stars": 4, "text": "good"}
-        assert ReviewRecord.from_json_dict(review.to_json_dict()) == review
-
-    def test_business_json_dict_is_json_safe(self):
-        record = make_business("b1", {"wifi"})
-        json.dumps(record.to_json_dict())
 
 
 @given(st.text(max_size=40))

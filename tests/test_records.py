@@ -28,9 +28,7 @@ from ratingsift import (
 RECORDS = {
     BusinessRecord: {
         "business_id": ("b1", "b2"),
-        "name": ("Cafe", "Diner"),
         "overall_stars": (4.0, 4.5),
-        "review_count": (3, 4),
         "features": (frozenset({"wifi"}), frozenset({"wifi", "hastv"})),
     },
     ReviewRecord: {

@@ -20,6 +20,7 @@ from ratingsift import (
     WorkspaceLockedError,
 )
 from ratingsift import workspace as workspace_module
+from ratingsift.ingest import VALID_BUSINESS_STARS
 from ratingsift.sentiment import CohortScores, TopicProfile
 from ratingsift.taxonomy import RankEntry
 from ratingsift.workspace import STAGES
@@ -244,14 +245,16 @@ class TestRoundTrips:
     def test_businesses(self, ws):
         records = [make_business("b1", {"wifi", "dinner"}), make_business("b2", set())]
         record_ingest(ws, businesses=records)
-        loaded = ws.read_businesses()
-        assert set(loaded) == {"b1", "b2"}
-        assert loaded["b1"].features == {"wifi", "dinner"}
+        assert ws.read_businesses() == {record.business_id: record for record in records}
+        first = ws.businesses_path.read_text(encoding="utf-8").splitlines()[0]
+        assert first == '{"business_id":"b1","features":["dinner","wifi"],"overall_stars":3.5}'
 
     def test_reviews(self, ws):
         reviews = [make_review("b1", 4, "nice"), make_review("b1", 1, "bad")]
         record_ingest(ws, reviews=reviews)
         assert ws.read_reviews() == reviews
+        first = ws.reviews_path.read_text(encoding="utf-8").splitlines()[0]
+        assert first == '{"business_id":"b1","stars":4,"text":"nice"}'
 
     def test_record_file_edited_after_ingest(self, ws):
         record_ingest(ws, reviews=[make_review("b1", 4, "nice"),
@@ -339,6 +342,32 @@ def test_topics_are_what_csv_writes(profiles):
             return
         ws.write_topics(profiles)
         assert ws.topics_path.read_bytes() == expected.getvalue().encode("utf-8")
+
+
+@given(
+    businesses=st.lists(st.builds(
+        make_business,
+        AWKWARD_TEXT,
+        st.frozensets(st.sampled_from(sorted(DEFAULT_TAXONOMY.universe))),
+        st.sampled_from(sorted(VALID_BUSINESS_STARS)),
+    ), max_size=4, unique_by=lambda record: record.business_id),
+    reviews=st.lists(st.builds(make_review, AWKWARD_TEXT, st.integers(1, 5), AWKWARD_TEXT),
+                     max_size=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_record_lines_lead_with_the_id(businesses, reviews):
+    # A filtered read finds a line's id at a fixed offset, so each line must
+    # start with it, as the writer encodes it; a full read gives back every field.
+    with tempfile.TemporaryDirectory() as root:
+        ws = Workspace(root)
+        record_ingest(ws, businesses, reviews)
+        for path, records in ((ws.businesses_path, businesses), (ws.reviews_path, reviews)):
+            lines = path.read_bytes().splitlines()
+            assert len(lines) == len(records)
+            for line, record in zip(lines, records):
+                assert line.startswith(b'{"business_id":' + json.dumps(record.business_id).encode())
+        assert ws.read_businesses() == {record.business_id: record for record in businesses}
+        assert ws.read_reviews() == reviews
 
 
 @given(df=st.dictionaries(AWKWARD_TEXT, st.integers(1, 10**6), max_size=6), data=st.data())
