@@ -2,14 +2,14 @@
 
 Each pipeline stage (ingest, rank, score) writes its artifacts here plus a
 manifest entry holding its counters, its settings and the SHA-256 of each
-artifact; later stages refuse to run on a stale workspace, or on a file
-changed since the stage that wrote it, instead of silently using mismatched
-artifacts. The lock is an ``flock`` on the directory, so the workspace holds
-nothing else. All writers are deterministic: fixed key order, fixed
-six-decimal formatting for rationals, "\n" line endings, and no timestamps,
-so identical inputs produce byte-identical files. Each writer overwrites its
-file in place and cuts it to length once done (see ``_create``); the
-manifest is written with one call.
+artifact. Every read of an artifact goes through ``_reading``, so a command
+refuses a file it reads that is missing, damaged or changed since the stage
+that wrote it, and the files it does not read cannot stop it. The lock is an
+``flock`` on the directory, so the workspace holds nothing else. All writers
+are deterministic: fixed key order, fixed six-decimal formatting for
+rationals, "\n" line endings, and no timestamps, so identical inputs produce
+byte-identical files. Each writer overwrites its file in place and cuts it to
+length once done (see ``_create``); the manifest is written with one call.
 """
 
 import csv
@@ -107,17 +107,20 @@ class Workspace:
     def load_manifest(self) -> dict:
         """The manifest, ``{"stages": {stage: entry}}``; a stage is complete
         when it has an entry, which holds its counters and settings."""
-        if not self.manifest_path.exists():
+        try:
+            handle = open(self.manifest_path, "rb")
+        except FileNotFoundError:
             return {"stages": {}}
-        with _decoding(self.manifest_path):
-            manifest = json.loads(self.manifest_path.read_bytes())
+        with handle, _decoding(self.manifest_path):
+            manifest = json.loads(handle.read())
             stages = manifest["stages"]
             done = list(STAGES)[:len(stages)]
-            # {**entry} raises TypeError, a damaged manifest, unless entry is a mapping
+            # {**entry} raises TypeError, a damaged manifest, unless entry is a mapping;
+            # compare reads score's k as its topic count: an int, not a bool, of at least 1
             if set(manifest) != {"stages"} or set(stages) != set(done) or any(
                 {**stages[stage]}.keys() != ENTRY_KEYS[stage]
                 or {**stages[stage]["files"]}.keys() != set(STAGES[stage]) for stage in done
-            ):
+            ) or "score" in stages and (type(k := stages["score"]["k"]) is not int or k < 1):
                 raise ValueError("not the layout this version writes")
         return manifest
 
@@ -143,41 +146,36 @@ class Workspace:
         _write_json(self.manifest_path, manifest)
 
     def require_stage(self, stage: str) -> dict:
-        """The entries of the completed stages, once ``stage`` and every
-        earlier stage are complete and their artifacts present."""
+        """The entries of the completed stages, once ``stage`` is complete.
+        Its files are checked where they are read (see ``_reading``)."""
         stages = self.load_manifest()["stages"]
         if stage not in stages:
             raise StaleWorkspaceError(
                 f"workspace {self.root} has no completed {stage!r} stage; "
                 f"run the {stage} command first"
             )
-        order = list(STAGES)
-        for earlier in order[:order.index(stage) + 1]:
-            for name in STAGES[earlier]:
-                if not (self.root / name).exists():
-                    raise StaleWorkspaceError(
-                        f"workspace {self.root} is missing {name}; re-run {earlier}"
-                    )
         return stages
 
     @contextmanager
-    def _checked(self, path: Path):
-        """Yield a SHA-256 to feed every byte read of ``path``; on leaving, raise
-        unless it matches the one recorded by the stage that wrote the file."""
+    def _reading(self, path: Path):
+        """Open an artifact and yield its handle, under ``_decoding``, with a
+        SHA-256 to feed every byte read; on leaving, raise unless that matches
+        the digest recorded by the stage that wrote the file."""
         stage = _WRITER[path.name]
         expected = self.require_stage(stage)[stage]["files"][path.name]
+        try:
+            handle = open(path, "rb")
+        except FileNotFoundError:
+            raise StaleWorkspaceError(
+                f"workspace {self.root} is missing {path.name}; re-run {stage}"
+            ) from None
         digest = hashlib.sha256()
-        yield digest
+        with handle, _decoding(path):
+            yield handle, digest
         if digest.hexdigest() != expected:
             raise StaleWorkspaceError(
                 f"workspace {self.root}: {path.name} changed since {stage}; re-run {stage}"
             )
-
-    def _read_checked(self, path: Path) -> bytes:
-        with self._checked(path) as digest:
-            data = path.read_bytes()
-            digest.update(data)
-        return data
 
     # record files ------------------------------------------------------
     #
@@ -215,7 +213,7 @@ class Workspace:
             json.dumps(business_id).encode() for business_id in business_ids
         }
         records = []
-        with self._checked(path) as digest, _decoding(path), open(path, "rb") as handle:
+        with self._reading(path) as (handle, digest):
             for raw in handle:
                 digest.update(raw)
                 if wanted is None or _id_token(raw) in wanted:
@@ -225,8 +223,8 @@ class Workspace:
     # rank artifacts ----------------------------------------------------
 
     def read_taxonomy(self) -> FeatureTaxonomy:
-        self._read_checked(self.taxonomy_path)
-        with _decoding(self.taxonomy_path):
+        with self._reading(self.taxonomy_path) as (handle, digest):
+            digest.update(handle.read())
             return FeatureTaxonomy.load(self.taxonomy_path)
 
     def write_taxonomy(self, taxonomy: FeatureTaxonomy) -> None:
@@ -241,8 +239,8 @@ class Workspace:
         )
 
     def read_ranked(self) -> list[RankEntry]:
-        data = self._read_checked(self.ranked_path)
-        with _decoding(self.ranked_path):
+        with self._reading(self.ranked_path) as (handle, digest):
+            digest.update(data := handle.read())
             rows = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
             next(rows, None)  # header
             return [RankEntry(row[0], int(row[1]), float(row[2])) for row in rows]
@@ -293,8 +291,8 @@ class Workspace:
             handle.write(f'  "n_docs": {stats.n_docs}\n}}\n')
 
     def read_corpus_stats(self) -> CorpusStats:
-        data = self._read_checked(self.corpus_stats_path)
-        with _decoding(self.corpus_stats_path):
+        with self._reading(self.corpus_stats_path) as (handle, digest):
+            digest.update(data := handle.read())
             obj = json.loads(data)
             return CorpusStats(n_docs=obj["n_docs"], df=obj["df"])
 
@@ -305,8 +303,8 @@ class Workspace:
             handle.writelines(f"{term}\t{valence}\n" for term, valence in entries)
 
     def read_lexicon(self) -> SentimentLexicon:
-        data = self._read_checked(self.lexicon_path)
-        with _decoding(self.lexicon_path):
+        with self._reading(self.lexicon_path) as (handle, digest):
+            digest.update(data := handle.read())
             return SentimentLexicon.loads(data.decode("utf-8"))
 
 

@@ -522,6 +522,17 @@ class TestExitCodes:
         (lambda ws: _add_tool_version(ws / "manifest.json"), "rank", "manifest.json", "ingest"),
         (lambda ws: _replace(ws / "lexicon.tsv", "great\t3", "great\t2"),
          "compare", "lexicon.tsv", "score"),
+        # A deleted file, before each command that reads it.
+        *[(lambda ws, name=name: (ws / name).unlink(), command, name, rerun)
+          for command, name, rerun in [
+              ("rank", "businesses.jsonl", "ingest"),
+              ("score", "ranked.csv", "rank"), ("score", "reviews.jsonl", "ingest"),
+              ("compare", "taxonomy.cfg", "rank"), ("compare", "lexicon.tsv", "score"),
+              ("compare", "businesses.jsonl", "ingest"), ("compare", "reviews.jsonl", "ingest"),
+          ]],
+        # Compare reads score's k as its topic count: an int, not a bool, of at least 1.
+        *[(lambda ws, k=k: _set_k(ws / "manifest.json", k), "compare", "manifest.json", "ingest")
+          for k in ["5", None, 1.5, 0, -1, True]],
     ], ids=["short_ranked_row", "stats_without_df", "stats_deleted", "older_manifest",
             "stats_df_negative", "stats_df_over_n_docs", "manifest_without_digests",
             "manifest_files_as_list", "ranked_row_deleted", "stats_every_df_n",
@@ -530,7 +541,11 @@ class TestExitCodes:
             "older_business_layout_rank", "older_business_layout_compare",
             "named_business_layout_rank", "named_business_layout_compare",
             "older_review_layout_score", "older_review_layout_compare",
-            "manifest_with_tool_version", "lexicon_edited"])
+            "manifest_with_tool_version", "lexicon_edited",
+            "businesses_deleted_rank", "ranked_deleted_score", "reviews_deleted_score",
+            "taxonomy_deleted_compare", "lexicon_deleted_compare",
+            "businesses_deleted_compare", "reviews_deleted_compare",
+            "k_string", "k_null", "k_float", "k_zero", "k_negative", "k_true"])
     def test_damaged_workspace_names_the_file(
         self, data_dir, lexicon_file, tmp_path, capsys, damage, command, named, rerun
     ):
@@ -558,6 +573,27 @@ class TestExitCodes:
         assert main(steps["compare"]) == 2
         err = capsys.readouterr().err
         assert "taxonomy.cfg" in err and "re-run rank" in err
+
+    @pytest.mark.parametrize("name,command", [
+        ("reviews.jsonl", "rank"), ("feature_frequency.csv", "score"),
+        ("topics.tsv", "compare"), ("cohort_scores.csv", "compare"),
+        ("ranked.csv", "compare"), ("feature_frequency.csv", "compare"),
+    ])
+    def test_deleted_file_the_command_does_not_read(
+        self, data_dir, lexicon_file, tmp_path, capsys, name, command
+    ):
+        # A command depends only on the manifest and the files it reads, so
+        # deleting any other file leaves its exit code and stdout as they were.
+        ws = tmp_path / "ws"
+        steps = pipeline_steps(data_dir, lexicon_file, ws)
+        order = list(steps)
+        run_pipeline(data_dir, lexicon_file, ws, through=order[order.index(command) - 1])
+        capsys.readouterr()
+        assert main(steps[command]) == 0
+        before = capsys.readouterr().out
+        (ws / name).unlink()
+        assert main(steps[command]) == 0
+        assert capsys.readouterr().out == before
 
     @pytest.mark.parametrize("name,command", [
         ("reviews.jsonl", "compare"), ("reviews.jsonl", "score"),
@@ -1019,6 +1055,13 @@ def _drop_record_digests(path):
     manifest = json.loads(path.read_text(encoding="utf-8"))
     for entry in manifest["stages"].values():
         del entry["files"]
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _set_k(path, k):
+    """Set score's topic count in the manifest to ``k``, any JSON value."""
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest["stages"]["score"]["k"] = k
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 

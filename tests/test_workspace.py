@@ -91,11 +91,22 @@ class TestStages:
         files = dict.fromkeys(STAGES["ingest"], hashlib.sha256(b"x").hexdigest())
         assert ws.require_stage("ingest") == {"ingest": {**ENTRIES["ingest"], "files": files}}
 
-    def test_require_stage_missing_artifact(self, ws):
-        record_through(ws, "ingest")
-        ws.businesses_path.unlink()
-        with pytest.raises(StaleWorkspaceError, match="businesses.jsonl"):
-            ws.require_stage("ingest")
+    @pytest.mark.parametrize("reader,name,stage", [
+        ("read_businesses", "businesses.jsonl", "ingest"),
+        ("read_reviews", "reviews.jsonl", "ingest"),
+        ("read_taxonomy", "taxonomy.cfg", "rank"),
+        ("read_ranked", "ranked.csv", "rank"),
+        ("read_corpus_stats", "corpus_stats.json", "score"),
+        ("read_lexicon", "lexicon.tsv", "score"),
+    ])
+    def test_reading_missing_artifact(self, ws, reader, name, stage):
+        # Files are checked where they are read: require_stage looks only at
+        # the manifest, and the reader names the file and the stage to re-run.
+        record_through(ws, "score")
+        (ws.root / name).unlink()
+        assert ws.require_stage("score")
+        with pytest.raises(StaleWorkspaceError, match=f"missing {name}; re-run {stage}$"):
+            getattr(ws, reader)()
 
     def test_recording_early_stage_clears_later_ones(self, ws):
         record_through(ws, "score")
