@@ -56,6 +56,9 @@ _ENTRY_RE = re.compile(
 )
 _CONSTANTS = {"True": True, "False": False, "None": None}
 
+# The package's one JSON decoder; workspace reads record lines with it too.
+_raw_decode = json.JSONDecoder().raw_decode
+
 
 class IngestError(Exception):
     """Fatal ingest failure: the input stream itself cannot be read."""
@@ -223,10 +226,12 @@ def normalize_flag(value: AttributeValue, attribute_name: str) -> bool:
 
 
 def flatten_features(
-    raw_attributes: dict[str, str], counters: BusinessCounters | None = None
+    attributes: dict[str, object], counters: BusinessCounters | None = None
 ) -> frozenset[str]:
-    """Flatten a raw attribute map, as in the dump, into canonical feature names."""
-    return _flatten_raw(raw_attributes, counters, _flatten_attribute)
+    """Flatten an attribute map, as decoded from the dump, into canonical
+    feature names. A value that is not a string is read in its
+    Python-literal form (``repr``), as ``parse_businesses`` reads it."""
+    return _flatten_raw(attributes, counters, _flatten_attribute)
 
 
 def _flatten_attribute(attr_name: str, raw: str) -> _Flattened:
@@ -250,27 +255,34 @@ def _flatten_attribute(attr_name: str, raw: str) -> _Flattened:
 
 
 def _flatten_raw(
-    raw_attributes: dict[str, str],
+    attributes: dict[str, object],
     counters: BusinessCounters | None,
     flatten_attribute: Callable[[str, str], _Flattened],
 ) -> frozenset[str]:
-    """Core of flatten_features.
+    """Core of flatten_features: the one pass over a business's attributes.
 
-    Top-level leaf attributes map to their lowercased name; map-valued
-    attributes (BusinessParking, GoodForMeal, Ambience) contribute the inner
-    keys whose value normalizes to present. Names outside the built-in
-    features are ignored and counted; the map containers themselves are
-    structural and never counted. ``flatten_attribute`` is
-    ``_flatten_attribute`` or a cache of it; the counts are added on every
-    call, so they stay exact either way.
+    A value that is not a string is rendered Python-literal style first, so
+    parse_attribute_value sees the same shape either way. Top-level leaf
+    attributes map to their lowercased name; map-valued attributes
+    (BusinessParking, GoodForMeal, Ambience) contribute the inner keys whose
+    value normalizes to present. Names outside the built-in features are
+    ignored and counted; the map containers themselves are structural and
+    never counted. ``flatten_attribute`` is ``_flatten_attribute`` or a
+    cache of it; the counts are summed over every call and added to
+    ``counters`` once, so they stay exact either way.
     """
     features: set[str] = set()
-    for attr_name, raw in raw_attributes.items():
-        present, fallbacks, unknown = flatten_attribute(attr_name, raw)
+    fallbacks = unknown = 0
+    for attr_name, raw in attributes.items():
+        if not isinstance(raw, str):
+            raw = repr(raw)  # the same text str() gives for JSON's other types
+        present, attr_fallbacks, attr_unknown = flatten_attribute(attr_name, raw)
         features.update(present)
-        if counters is not None:
-            counters.attribute_fallbacks += fallbacks
-            counters.unknown_feature_names += unknown
+        fallbacks += attr_fallbacks
+        unknown += attr_unknown
+    if counters is not None:
+        counters.attribute_fallbacks += fallbacks
+        counters.unknown_feature_names += unknown
     return frozenset(features)
 
 
@@ -278,7 +290,11 @@ def _iter_objects(stream, counters: BusinessCounters | ReviewCounters) -> Iterat
     """Yield the JSON object on each non-blank line.
 
     Lines that are not UTF-8, not JSON, or JSON but not an object are
-    skipped and counted in ``counters.skipped_malformed``.
+    skipped and counted in ``counters.skipped_malformed``. Each stripped
+    line is decoded by one ``raw_decode`` call; it must end where the value
+    does. A stripped line neither starts nor ends with JSON whitespace, so
+    this accepts exactly the lines ``json.loads`` accepts, and a leading
+    byte order mark is malformed for both.
     """
     for line in stream:
         if isinstance(line, bytes):
@@ -291,24 +307,14 @@ def _iter_objects(stream, counters: BusinessCounters | ReviewCounters) -> Iterat
         if not line:
             continue
         try:
-            obj = json.loads(line)
+            obj, end = _raw_decode(line)
         except (ValueError, RecursionError):  # also too many digits or too deep
             counters.skipped_malformed += 1
             continue
-        if isinstance(obj, dict):
+        if end == len(line) and isinstance(obj, dict):
             yield obj
         else:
             counters.skipped_malformed += 1
-
-
-def _stringify_attribute(value) -> str:
-    """Keep string values verbatim; render anything else Python-literal style
-    so parse_attribute_value sees the same shape either way."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (dict, list)):
-        return repr(value)
-    return str(value)
 
 
 def _is_restaurant(categories) -> bool:
@@ -324,7 +330,8 @@ def _build_business(
 ) -> BusinessRecord | None:
     """Build a record from one decoded JSON object; None when malformed.
     ``review_count`` is checked but not kept, and ``name`` is not read. The
-    categories are not read either, so a non-restaurant's attributes count too."""
+    categories are not read either, so a non-restaurant's attributes count too.
+    The decoded ``attributes`` go to ``_flatten_raw`` as they are, uncopied."""
     business_id = obj.get("business_id")
     # ranked.csv could not hold "\r" (csv leaves it bare before Python 3.13)
     # or NUL (csv refuses it on 3.10), so such an id is malformed.
@@ -346,11 +353,10 @@ def _build_business(
         attributes = {}
     if not isinstance(attributes, dict):
         return None
-    raw_attributes = {str(k): _stringify_attribute(v) for k, v in attributes.items()}
     return BusinessRecord(
         business_id=business_id,
         overall_stars=float(stars),
-        features=_flatten_raw(raw_attributes, counters, flatten_attribute),
+        features=_flatten_raw(attributes, counters, flatten_attribute),
     )
 
 

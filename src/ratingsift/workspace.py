@@ -23,7 +23,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .ingest import BusinessRecord, ReviewRecord
+from .ingest import BusinessRecord, ReviewRecord, _raw_decode
 from .sentiment import CohortScores, CorpusStats, SentimentLexicon, TopicProfile
 from .taxonomy import FeatureTaxonomy, RankEntry
 
@@ -355,11 +355,15 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _write_jsonl(path: Path, objects: Iterable[dict]) -> None:
-    """Write one compact, key-sorted JSON object per line."""
+    """Write one compact, key-sorted JSON object per line, one write each."""
     with _create(path) as handle:
         for obj in objects:
-            handle.write(json.dumps(obj, sort_keys=True, separators=(",", ":")))
-            handle.write("\n")
+            handle.write(_encode_record(obj) + "\n")
+
+
+# What json.dumps(obj, sort_keys=True, separators=(",", ":")) returns, from
+# one encoder: json.dumps builds a new encoder on every call with options.
+_encode_record = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _business_record(obj: dict) -> BusinessRecord:
@@ -370,7 +374,6 @@ def _review_record(obj: dict) -> ReviewRecord:
     return ReviewRecord(**obj)
 
 
-_raw_decode = json.JSONDecoder().raw_decode
 _ID_START = len('{"business_id":')
 
 

@@ -975,6 +975,62 @@ def test_copied_workspace_gives_the_same_compare_bytes(varied_workspace, tmp_pat
     assert [_compare(copy, *pair, capsys) for pair in pairs] == before
 
 
+def _shuffle_corpus(rng):
+    """The lines of a seeded corpus with unique ids: restaurants, a
+    non-restaurant, a malformed line, and reviews that include skips."""
+    universe = sorted(DEFAULT_TAXONOMY.universe)
+    words = ["great", "tasty", "rude", "bland", "pasta", "menu", "price", "soup", "waiter"]
+    ids = [f"s{i}" for i in range(8)]
+    businesses = [
+        business_line(business_id, stars=rng.choice([2.0, 3.5, 4.5]), attributes=attributes_for(
+            rng.sample(universe, rng.randint(0, len(universe)))))
+        for business_id in ids
+    ] + [business_line("shop", categories="Shopping"), "{malformed"]
+    reviews = [
+        review_line(f"r{n:03d}", rng.choice(ids + ["ghost"]), rng.choice([1, 2, 3, 4, 5, 9]),
+                    " ".join(rng.choices(words, k=5)))
+        for n in range(80)
+    ]
+    return {"businesses": businesses, "reviews": reviews}
+
+
+def _shuffled_run(data, lexicon_file, ws, lines, capsys):
+    """Each command's stdout and each workspace file's bytes after ingest,
+    rank (cutoff 5) and score (k 3) over the given lines."""
+    data.mkdir(exist_ok=True)
+    for name, path in (("businesses", "business.json"), ("reviews", "review.json")):
+        (data / path).write_text("".join(line + "\n" for line in lines[name]), encoding="utf-8")
+    steps = pipeline_steps(data, lexicon_file, ws)
+    steps["rank"][-1], steps["score"][-1] = "5", "3"
+    stdout = {}
+    for name in ("ingest", "rank", "score"):
+        capsys.readouterr()
+        assert main(steps[name]) == 0
+        stdout[name] = capsys.readouterr().out
+    return stdout, {path.name: path.read_bytes() for path in ws.iterdir()}
+
+
+@pytest.mark.parametrize("shuffled", ["businesses", "reviews"])
+def test_shuffled_input_lines_change_only_their_record_file(
+        shuffled, tmp_path, lexicon_file, capsys):
+    # Shuffling one input's lines (ids unique) reorders only the record file
+    # ingest writes from it, so the manifest differs only in that file's
+    # digest; every stdout and every other artifact is byte-identical.
+    rng = random.Random(2424)
+    lines = _shuffle_corpus(rng)
+    stdout, files = _shuffled_run(tmp_path / "data", lexicon_file, tmp_path / "ws", lines, capsys)
+    rng.shuffle(lines[shuffled])
+    stdout_after, files_after = _shuffled_run(
+        tmp_path / "data", lexicon_file, tmp_path / "ws2", lines, capsys)
+    assert stdout_after == stdout
+    record_file = f"{shuffled}.jsonl"
+    assert files_after[record_file] != files[record_file]
+    digests = (_sha256(f[record_file]).encode() for f in (files, files_after))
+    files["manifest.json"] = files["manifest.json"].replace(*digests)
+    files[record_file] = files_after[record_file]
+    assert files_after == files
+
+
 def _new_prefix_old_tail(new, old):
     """The file an in-place rewrite leaves when cut off partway through the
     bytes where ``new`` and ``old`` differ: new bytes, then old ones."""

@@ -5,7 +5,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ratingsift import (
@@ -180,6 +180,18 @@ class TestFlattenFeatures:
             assert flatten_features(attributes_for(wanted)) == wanted
 
 
+# Decoded attribute values that are not strings.
+_NON_STRING_ATTRIBUTES = {
+    "WiFi": True,
+    "RestaurantsPriceRange2": 2,
+    "BusinessParking": {"garage": True, "lot": False},
+    "Ambience": {"classy": {"x": 1}},  # nested map: fallback, unknown name
+    "HasTV": None,
+    "Caters": 2.5,                     # fallback, absent
+    "Music": ["a"],                    # fallback, unknown name
+}
+
+
 class TestParseBusinesses:
     def test_parses_well_formed_lines(self):
         lines = [
@@ -259,17 +271,8 @@ class TestParseBusinesses:
 
     def test_non_string_attribute_values(self):
         # read in their Python-literal form, as if the dump had quoted them
-        attributes = {
-            "WiFi": True,
-            "RestaurantsPriceRange2": 2,
-            "BusinessParking": {"garage": True, "lot": False},
-            "Ambience": {"classy": {"x": 1}},  # nested map: fallback, unknown name
-            "HasTV": None,
-            "Caters": 2.5,                     # fallback, absent
-            "Music": ["a"],                    # fallback, unknown name
-        }
         counters = BusinessCounters()
-        lines = [business_line("b1", attributes=attributes)]
+        lines = [business_line("b1", attributes=_NON_STRING_ATTRIBUTES)]
         records = list(parse_businesses(lines, counters=counters))
         assert records[0].features == {"garage", "restaurantspricerange2", "wifi"}
         assert counters.attribute_fallbacks == 3
@@ -597,3 +600,113 @@ def test_cached_flatten_matches_uncached(attribute_maps):
         assert record.features == flatten_features(attrs, per_record)
     assert counters.attribute_fallbacks == per_record.attribute_fallbacks
     assert counters.unknown_feature_names == per_record.unknown_feature_names
+
+
+# Decoded JSON attribute values of every type, nested maps and lists included.
+_JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**30, 10**30) | st.floats()
+    | st.sampled_from(_RAW_POOL) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(("lot", "classy", "divey", "x")) | st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _python_literal(value) -> str:
+    """A dump value as text: strings verbatim, maps and lists by repr, and
+    every other value by str."""
+    if isinstance(value, str):
+        return value
+    return repr(value) if isinstance(value, (dict, list)) else str(value)
+
+
+@given(st.lists(
+    st.dictionaries(st.sampled_from(_ATTRIBUTE_NAMES) | st.text(max_size=6), _JSON_VALUE,
+                    max_size=5),
+    max_size=8,
+))
+@example([_NON_STRING_ATTRIBUTES])
+@settings(max_examples=150, deadline=None)
+def test_decoded_values_flatten_as_their_python_literal_text(attribute_maps):
+    # A value of any JSON type is read in its Python-literal form, the same
+    # way by parse_businesses, which decodes it from the line, and by
+    # flatten_features, handed the map or its values' text one at a time.
+    lines = [business_line(f"b{i}", attributes=attrs) for i, attrs in enumerate(attribute_maps)]
+    counters = BusinessCounters()
+    records = list(parse_businesses(lines, counters=counters))
+    decoded, one_at_a_time = BusinessCounters(), BusinessCounters()
+    for record, attrs in zip(records, attribute_maps, strict=True):
+        assert record.features == flatten_features(attrs, decoded)
+        assert record.features == frozenset().union(*(
+            flatten_features({name: _python_literal(value)}, one_at_a_time)
+            for name, value in attrs.items()
+        ))
+    for summed in (decoded, one_at_a_time):
+        assert counters.attribute_fallbacks == summed.attribute_fallbacks
+        assert counters.unknown_feature_names == summed.unknown_feature_names
+
+
+def _reference_objects(lines):
+    """The objects json.loads reads from the lines, and the count of
+    non-blank lines it cannot read as an object."""
+    objects, malformed = [], 0
+    for line in lines:
+        try:
+            text = (line.decode("utf-8") if isinstance(line, bytes) else line).strip()
+            if not text:
+                continue
+            obj = json.loads(text)
+        except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
+            malformed += 1
+            continue
+        if isinstance(obj, dict):
+            objects.append(obj)
+        else:
+            malformed += 1
+    return objects, malformed
+
+
+def _assert_decodes_like_json_loads(parse, lines):
+    records, counters = parse(lines)
+    objects, malformed = _reference_objects(lines)
+    # The reference's objects as lines that every JSON reader reads alike.
+    expected, expected_counters = parse([json.dumps(obj) for obj in objects])
+    assert records == expected
+    expected_counters.skipped_malformed += malformed
+    assert counters == expected_counters
+
+
+_WELL_FORMED = (business_line("b1"), review_line("r1", "b1", 4, "fine"))
+# Around a value: JSON whitespace, str.strip whitespace that JSON does not
+# allow, a byte order mark, and characters that make trailing data.
+_EDGE = st.text(" \t\r\n\x0b\x0c\x1c\x85\xa0\u2028\u3000\ufeffx{}[]\",:0", max_size=3)
+_LINE = st.one_of(
+    st.builds(lambda before, value, after: before + value + after, _EDGE,
+              st.sampled_from(_WELL_FORMED + ("{}", "[]", "1", '"s"', "null", "{", "}")), _EDGE),
+    st.text(max_size=30),
+)
+_RAW_LINE = st.one_of(
+    _LINE, _LINE.map(lambda line: line.encode("utf-8", "surrogatepass")), st.binary(max_size=12)
+)
+
+
+@pytest.mark.parametrize("parse", [_business_pass, _review_pass], ids=["businesses", "reviews"])
+@pytest.mark.parametrize("line", [
+    "\ufeff{}", "{} x", "{}\x0b", "\x85{} ", "[]", "1",
+    "\ufeff" + _WELL_FORMED[0], _WELL_FORMED[0] + " x", "\x85" + _WELL_FORMED[1] + "\x0b",
+    "[" * 100_000,
+    "1" + "0" * 5000,
+    '{"business_id": "b1", "review_id": "r2", "stars": 4, "n": 1' + "0" * 5000 + "}",
+    b"\xff\xfe{}", _WELL_FORMED[0].encode("utf-8") + b"\xc3",
+], ids=["bom", "trailing_data", "trailing_vt", "leading_nel", "array", "number",
+        "bom_record", "record_trailing_data", "record_in_strip_space", "deep_nesting",
+        "long_int", "record_long_int", "non_utf8", "record_non_utf8"])
+def test_decoder_matches_json_loads(parse, line):
+    _assert_decodes_like_json_loads(parse, [*_WELL_FORMED, line, *_WELL_FORMED])
+
+
+@given(st.lists(_RAW_LINE, max_size=12))
+@settings(max_examples=150, deadline=None)
+def test_decoder_matches_json_loads_property(lines):
+    for parse in (_business_pass, _review_pass):
+        _assert_decodes_like_json_loads(parse, lines)

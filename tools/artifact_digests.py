@@ -10,9 +10,10 @@ Then it runs ingest, rank and score again over the finished workspace, so
 each writer also overwrites a file it wrote before; the benchmark starts
 every round from an empty workspace and never does. Prints one JSON object:
 the SHA-256 of every workspace file and of every command's stdout, and every
-exit code, the byte size of every workspace file, and the name of every
-entry in the workspace, dotfiles included, with the same for the second pass
-under "rerun", whose files must equal the first pass's.
+exit code, ingest's counters by name as its stdout gives them (so a counter
+that drifts shows by name), the byte size of every workspace file, and the
+name of every entry in the workspace, dotfiles included, with the same for
+the second pass under "rerun", whose files must equal the first pass's.
 Two source trees that write the same bytes print the same object, so
 comparing a parent commit with a change is a ``diff``:
 
@@ -47,11 +48,22 @@ def sha256(data: bytes) -> str:
 
 
 def command(src: Path, stage: str, args: list) -> tuple:
-    """Run one ratingsift command; return its exit code and stdout digest."""
+    """Run one ratingsift command; return its exit code and its stdout."""
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     result = subprocess.run([sys.executable, "-m", "ratingsift.cli", stage, *args],
                             env=env, capture_output=True, check=False)
-    return result.returncode, sha256(result.stdout)
+    return result.returncode, result.stdout
+
+
+def counters(stdout: bytes) -> dict:
+    """Ingest's counters from its stdout, as {"businesses.parsed": n, ...};
+    empty when the stdout is not ingest's JSON summary."""
+    try:
+        summary = json.loads(stdout)
+        return {f"{group}.{name}": count
+                for group, counts in summary.items() for name, count in counts.items()}
+    except (ValueError, AttributeError):
+        return {}
 
 
 def files(ws: Path) -> tuple:
@@ -70,7 +82,10 @@ def digests(workload, corpus_dir: Path, src: Path) -> dict:
     rerun = out["rerun"] = {"exit": {}, "stdout": {}}
 
     def record(into, label, stage, args):
-        into["exit"][label], into["stdout"][label] = command(src, stage, args)
+        into["exit"][label], stdout = command(src, stage, args)
+        into["stdout"][label] = sha256(stdout)
+        if stage == "ingest":
+            into["ingest_counters"] = counters(stdout)
 
     with tempfile.TemporaryDirectory() as tmp:
         ws = Path(tmp) / "ws"
