@@ -155,8 +155,9 @@ def parse_attribute_value(raw: str, counters: BusinessCounters | None = None) ->
     around ``key: leaf`` entries separated by commas, empty ones tolerated;
     a key is quoted, or a bare word of letters, digits, ``_`` and ``-`` not
     starting like a number, and a later duplicate wins. Anything else, other
-    Python literal syntax included, is returned unchanged as an opaque token
-    counted in ``counters.attribute_fallbacks``. Never raises.
+    Python literal syntax included, is returned unchanged (``raw`` itself)
+    as an opaque token counted in ``counters.attribute_fallbacks``; no other
+    result is ``raw``. Never raises.
     """
     s = raw.strip()
     try:
@@ -241,17 +242,19 @@ def _flatten_attribute(attr_name: str, raw: str) -> _Flattened:
     names outside the built-in features. Pure, and the result is immutable,
     so a cache may hand the same result to every caller.
     """
-    counts = BusinessCounters()
-    value = parse_attribute_value(raw, counts)
+    value = parse_attribute_value(raw)
+    # Only a fallback hands back the very string it was given.
+    fallbacks = int(value is raw)
     leaves = value.items() if isinstance(value, dict) else ((attr_name, value),)
     present = []
+    unknown = 0
     for name, leaf in leaves:
         key = name.lower()
         if key not in _UNIVERSE:
-            counts.unknown_feature_names += 1
+            unknown += 1
         elif normalize_flag(leaf, key):
             present.append(key)
-    return tuple(present), counts.attribute_fallbacks, counts.unknown_feature_names
+    return tuple(present), fallbacks, unknown
 
 
 def _flatten_raw(

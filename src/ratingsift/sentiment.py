@@ -11,23 +11,24 @@ import io
 import math
 import re
 from collections import Counter
-from operator import mul, neg
+from itertools import compress, filterfalse, repeat
+from operator import ge, itemgetter, mul, neg
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .ingest import ReviewRecord, _Counters
 from .stopwords import STOPWORDS
 
-_TOKEN_RE = re.compile(r"[^\W_]+")
+# re's \w is str.isalnum() plus "_", so once tokenize has turned "_" into a
+# space, the maximal runs of \w are the maximal runs of alphanumerics, and
+# {2,} drops the one-character runs.
+_TOKEN_RE = re.compile(r"\w{2,}")
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase, split on any non-alphanumeric character, drop tokens
-    shorter than two characters and stopwords."""
-    return [
-        token
-        for token in _TOKEN_RE.findall(text.lower())
-        if len(token) >= 2 and token not in STOPWORDS
-    ]
+    """The maximal runs of ``str.isalnum()`` characters in the lowercased
+    text, in order, except runs shorter than two characters and stopwords."""
+    runs = _TOKEN_RE.findall(text.lower().replace("_", " "))
+    return list(filterfalse(STOPWORDS.__contains__, runs))
 
 
 class StarDocument(NamedTuple):
@@ -165,11 +166,16 @@ def top_terms(doc: StarDocument, stats: CorpusStats, k: int) -> list[tuple[str, 
     if k < 1:
         raise ValueError("k must be at least 1")
     counts = doc.term_counts
-    negated = map(neg, map(mul, counts.values(), map(stats._idf.__getitem__, counts)))
+    weights = list(map(mul, counts.values(), map(stats._idf.__getitem__, counts)))
     # Plain tuples sort by negated weight, then term, with no key function.
+    ranked = zip(map(neg, weights), counts)
+    if len(weights) > k:
+        # Only terms at or above the k-th largest weight can be kept. Ties at
+        # it are all sorted, so the alphabetical tie-break is unchanged.
+        cut = sorted(weights, reverse=True)[k - 1]
+        ranked = compress(ranked, map(ge, weights, repeat(cut)))
     # No idf is negative, so a count <= 0 weighs <= 0 and is dropped here.
-    ranked = sorted(zip(negated, counts))[:k]
-    return [(term, -minus_w) for minus_w, term in ranked if minus_w < 0.0]
+    return [(term, -minus_w) for minus_w, term in sorted(ranked)[:k] if minus_w < 0.0]
 
 
 class LexiconCounters(_Counters):
@@ -260,7 +266,7 @@ class SentimentLexicon:
 
 def sentiment_score(terms: Iterable[str], lexicon: SentimentLexicon) -> int:
     """Sum of lexicon valences over the distinct terms; unknown terms add 0."""
-    return sum(map(lexicon.valence, set(terms)))
+    return sum(map(lexicon.entries.get, set(terms), repeat(0)))
 
 
 class TopicProfile(NamedTuple):
@@ -282,7 +288,7 @@ def build_topic_profiles(
     profiles = []
     for doc in documents:
         topics = top_terms(doc, stats, k)
-        score = sentiment_score((term for term, _ in topics), lexicon)
+        score = sentiment_score(map(itemgetter(0), topics), lexicon)
         profiles.append(
             TopicProfile(
                 business_id=doc.business_id,

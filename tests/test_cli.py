@@ -994,9 +994,11 @@ def _shuffle_corpus(rng):
     return {"businesses": businesses, "reviews": reviews}
 
 
-def _shuffled_run(data, lexicon_file, ws, lines, capsys):
+def _shuffled_run(data, lexicon_file, ws, lines, capsys, compare=False):
     """Each command's stdout and each workspace file's bytes after ingest,
-    rank (cutoff 5) and score (k 3) over the given lines."""
+    rank (cutoff 5) and score (k 3) over the given lines; with ``compare``,
+    also compare's stdout in both formats for each pair of ranked
+    restaurants."""
     data.mkdir(exist_ok=True)
     for name, path in (("businesses", "business.json"), ("reviews", "review.json")):
         (data / path).write_text("".join(line + "\n" for line in lines[name]), encoding="utf-8")
@@ -1007,7 +1009,18 @@ def _shuffled_run(data, lexicon_file, ws, lines, capsys):
         capsys.readouterr()
         assert main(steps[name]) == 0
         stdout[name] = capsys.readouterr().out
-    return stdout, {path.name: path.read_bytes() for path in ws.iterdir()}
+    files = {path.name: path.read_bytes() for path in ws.iterdir()}
+    if compare:
+        ranked = _ranked_ids(files)
+        for i, a in enumerate(ranked):
+            for b in ranked[i + 1:]:
+                for fmt in ("json", "text"):
+                    stdout["compare", a, b, fmt] = _compare(ws, a, b, fmt, capsys)
+    return stdout, files
+
+
+def _ranked_ids(files):
+    return [row.split(",")[0] for row in files["ranked.csv"].decode().splitlines()[1:]]
 
 
 @pytest.mark.parametrize("shuffled", ["businesses", "reviews"])
@@ -1028,6 +1041,61 @@ def test_shuffled_input_lines_change_only_their_record_file(
     digests = (_sha256(f[record_file]).encode() for f in (files, files_after))
     files["manifest.json"] = files["manifest.json"].replace(*digests)
     files[record_file] = files_after[record_file]
+    assert files_after == files
+
+
+def test_reviews_outside_the_cohort_change_no_score_artifact(tmp_path, lexicon_file, capsys):
+    # Reviews of restaurants that rank leaves out are kept in reviews.jsonl
+    # but reach no star document, so every score artifact, score's stdout
+    # and every compare between ranked restaurants stay byte-identical.
+    lines = _shuffle_corpus(random.Random(2424))
+    stdout, files = _shuffled_run(tmp_path / "data", lexicon_file, tmp_path / "ws", lines,
+                                  capsys, compare=True)
+    outside = sorted({f"s{i}" for i in range(8)} - set(_ranked_ids(files)))
+    assert outside
+    rng = random.Random(2525)
+    words = ["great", "rude", "pasta", "zucchini", "saffron"]
+    lines["reviews"] += [
+        review_line(f"x{n:03d}", rng.choice(outside), rng.randint(1, 5),
+                    " ".join(rng.choices(words, k=5)))
+        for n in range(30)
+    ]
+    stdout_after, files_after = _shuffled_run(
+        tmp_path / "data", lexicon_file, tmp_path / "ws2", lines, capsys, compare=True)
+    # Ingest counts the added reviews, in its stdout and its manifest entry.
+    assert stdout_after.pop("ingest") != stdout.pop("ingest")
+    assert stdout_after == stdout
+    assert files_after["reviews.jsonl"] != files["reviews.jsonl"]
+    for name in ("reviews.jsonl", "manifest.json"):
+        del files[name], files_after[name]
+    assert {"topics.tsv", "cohort_scores.csv", "corpus_stats.json"} <= files.keys()
+    assert files_after == files
+
+
+def test_lexicon_terms_no_topic_holds_change_only_lexicon_tsv(tmp_path, lexicon_file, capsys):
+    # "food" ends every review, so it is in every star document, weighs zero
+    # and is no topic; "zucchini" is in no review. Valences for them change
+    # lexicon.tsv and its digest in the manifest, and no stdout.
+    lines = _shuffle_corpus(random.Random(2424))
+    for i, line in enumerate(lines["reviews"]):
+        obj = json.loads(line)
+        obj["text"] += " food"
+        lines["reviews"][i] = json.dumps(obj)
+    stdout, files = _shuffled_run(tmp_path / "data", lexicon_file, tmp_path / "ws", lines,
+                                  capsys, compare=True)
+    topic_terms = {row.split("\t")[3] for row in files["topics.tsv"].decode().splitlines()[1:]}
+    assert "food" in json.loads(files["corpus_stats.json"])["df"]
+    assert not {"food", "zucchini"} & topic_terms
+    richer = tmp_path / "richer.txt"
+    richer.write_text(lexicon_file.read_text(encoding="utf-8") + "food\t4\nzucchini\t-5\n",
+                      encoding="utf-8")
+    stdout_after, files_after = _shuffled_run(
+        tmp_path / "data", richer, tmp_path / "ws2", lines, capsys, compare=True)
+    assert stdout_after == stdout
+    assert files_after["lexicon.tsv"] != files["lexicon.tsv"]
+    digests = (_sha256(f["lexicon.tsv"]).encode() for f in (files, files_after))
+    files["manifest.json"] = files["manifest.json"].replace(*digests)
+    files["lexicon.tsv"] = files_after["lexicon.tsv"]
     assert files_after == files
 
 

@@ -92,7 +92,7 @@ class TestParseAttributeValue:
     ])
     def test_unrecognized_falls_back_to_opaque_string(self, raw):
         counters = BusinessCounters()
-        assert parse_attribute_value(raw, counters) == raw
+        assert parse_attribute_value(raw, counters) is raw
         assert counters.attribute_fallbacks == 1
 
     def test_fallback_never_raises(self):
@@ -501,10 +501,22 @@ class TestLoaders:
 
 
 @given(st.text(max_size=40))
+@example("''")
+@example(" 'a' ")
+@example("u'x'")
+@example("7")
+@example("None")
+@example("{}")
+@example("{a: 1}")
+@example(" maybe ")
 @settings(max_examples=120, deadline=None)
 def test_parse_attribute_value_total(raw):
-    # parser must accept arbitrary garbage without raising
-    parse_attribute_value(raw)
+    # parser must accept arbitrary garbage without raising; it counts a
+    # fallback exactly when it hands back ``raw`` itself, which is how
+    # _flatten_attribute counts fallbacks
+    counters = BusinessCounters()
+    value = parse_attribute_value(raw, counters)
+    assert counters.attribute_fallbacks == (value is raw)
 
 
 # Maps inside the attribute grammar, for ast.literal_eval as the reference:

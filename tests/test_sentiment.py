@@ -1,9 +1,13 @@
 """Tokenization, TF-IDF topics, and lexicon sentiment."""
 
 import math
+import re
 import string
+import sys
 import tempfile
 from collections import Counter
+from itertools import repeat
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -50,7 +54,7 @@ class TestTokenize:
     def test_every_stopword_is_a_token_tokenize_can_emit(self):
         for word in STOPWORDS:
             assert word == word.lower() and len(word) >= 2, word
-            assert _TOKEN_RE.fullmatch(word), word
+            assert _TOKEN_RE.fullmatch(word) and "_" not in word, word
 
     def test_digits_kept(self):
         assert tokenize("waited 45 minutes") == ["waited", "45", "minutes"]
@@ -63,6 +67,33 @@ class TestTokenize:
 
     def test_preserves_multiplicity_and_order(self):
         assert tokenize("pasta pasta salad pasta") == ["pasta", "pasta", "salad", "pasta"]
+
+
+def reference_tokenize(text):
+    """``tokenize`` as first written: runs of alphanumerics of the lowercased
+    text, then a per-token length and stopword check."""
+    return [token for token in re.findall(r"[^\W_]+", text.lower())
+            if len(token) >= 2 and token not in STOPWORDS]
+
+
+# Characters where \w and alphanumerics part, lowercasing changes length or
+# case folds differ, or a script is neither Latin nor ASCII digits.
+_TOKEN_EDGE_CHARS = "aZ09 _-Σσςİ\u0301١二😀’\t\n\r\x00\x0b\x1f\x85\u2028"
+
+
+@given(st.one_of(st.text(), st.text(st.sampled_from(_TOKEN_EDGE_CHARS))))
+@example("snake_case __init__ a_b_c x_")
+@example("ΣΑΣ İstanbul café cafe\u0301 ١٢ 二十 😀😀 don’t")
+@settings(max_examples=300, deadline=None)
+def test_tokenize_matches_reference(text):
+    assert tokenize(text) == reference_tokenize(text)
+
+
+def test_tokenize_matches_reference_on_every_code_point():
+    # Every code point twice, alone between spaces: a run of two wherever the
+    # reference takes the character as alphanumeric.
+    text = " ".join(map(mul, map(chr, range(sys.maxunicode + 1)), repeat(2)))
+    assert tokenize(text) == reference_tokenize(text)
 
 
 class TestBuildStarDocuments:
@@ -373,6 +404,23 @@ def tied_corpora(draw):
     return documents, draw(st.sampled_from(documents + [outside]))
 
 
+def _scored(*term_counts):
+    """A tied_corpora value: documents with these counts, scoring the first."""
+    documents = [StarDocument(business_id=f"b{i}", stars=1, term_counts=counts)
+                 for i, counts in enumerate(term_counts)]
+    return documents, documents[0]
+
+
+# Ties straddling the k-th weight: t1..t3 tie at ln 2 behind t0 at 2 ln 2.
+@example(_scored({"t0": 2, "t3": 1, "t2": 1, "t1": 1}, {}), 2)
+@example(_scored({"t0": 2, "t3": 1, "t2": 1, "t1": 1}, {}), 3)
+# As many terms as k, and one more than k.
+@example(_scored({"t2": 1, "t0": 3, "t1": 2}, {"t2": 1}), 3)
+@example(_scored({"t2": 1, "t0": 3, "t1": 2, "t3": 1}, {"t2": 1}), 3)
+# More terms than k, fewer positive weights than k: t2 and t3 are in every
+# document, t4 counts 0, and t5's count is negative against a positive idf.
+@example(_scored({"t0": 1, "t1": 2, "t2": 1, "t3": 3, "t4": 0, "t5": -1},
+                 {"t2": 1, "t3": 1, "t5": 1}, {"t2": 1, "t3": 1}), 4)
 @given(tied_corpora(), st.integers(min_value=1, max_value=14))
 @settings(max_examples=200, deadline=None)
 def test_top_terms_matches_keyed_sort_reference(corpus, k):
