@@ -396,11 +396,12 @@ def parse_businesses(
 def _build_review(obj: dict, counters: ReviewCounters, known: set[str]) -> ReviewRecord | None:
     """Build a record from one decoded JSON object; None once its skip is
     counted. The review id must be a non-empty string but is not kept."""
+    review_id = obj.get("review_id")
     business_id = obj.get("business_id")
     raw_stars = obj.get("stars")
-    if not all(isinstance(key, str) and key for key in (obj.get("review_id"), business_id)) or (
-        not isinstance(raw_stars, (int, float)) or isinstance(raw_stars, bool)
-    ):
+    if not (
+        isinstance(review_id, str) and review_id and isinstance(business_id, str) and business_id
+    ) or not isinstance(raw_stars, (int, float)) or isinstance(raw_stars, bool):
         counters.skipped_malformed += 1
         return None
     # Range first: NaN, infinity and ints too big for float() fail it.
@@ -412,11 +413,7 @@ def _build_review(obj: dict, counters: ReviewCounters, known: set[str]) -> Revie
         return None
     text = obj.get("text")
     counters.parsed += 1
-    return ReviewRecord(
-        business_id=business_id,
-        stars=int(raw_stars),
-        text=text if isinstance(text, str) else "",
-    )
+    return ReviewRecord(business_id, int(raw_stars), text if isinstance(text, str) else "")
 
 
 def parse_reviews(

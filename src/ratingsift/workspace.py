@@ -3,13 +3,14 @@
 Each pipeline stage (ingest, rank, score) writes its artifacts here plus a
 manifest entry holding its counters, its settings and the SHA-256 of each
 artifact. Every read of an artifact goes through ``_reading``, so a command
-refuses a file it reads that is missing, damaged or changed since the stage
-that wrote it, and the files it does not read cannot stop it. The lock is an
-``flock`` on the directory, so the workspace holds nothing else. All writers
-are deterministic: fixed key order, fixed six-decimal formatting for
-rationals, "\n" line endings, and no timestamps, so identical inputs produce
-byte-identical files. Each writer overwrites its file in place and cuts it to
-length once done (see ``_create``); the manifest is written with one call.
+refuses a file it reads that is missing, not a regular file, damaged or
+changed since the stage that wrote it, and the files it does not read cannot
+stop it. The lock is an ``flock`` on the directory, so the workspace holds
+nothing else. All writers are deterministic: fixed key order, fixed
+six-decimal formatting for rationals, "\n" line endings, and no timestamps,
+so identical inputs produce byte-identical files. Each writer overwrites its
+file in place and cuts it to length once done (see ``_create``); the
+manifest is written with one call.
 """
 
 import csv
@@ -19,7 +20,9 @@ import io
 import json
 import os
 import re
+import stat
 from contextlib import contextmanager
+from math import isfinite
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -108,7 +111,7 @@ class Workspace:
         """The manifest, ``{"stages": {stage: entry}}``; a stage is complete
         when it has an entry, which holds its counters and settings."""
         try:
-            handle = open(self.manifest_path, "rb")
+            handle = _open_regular(self.manifest_path)
         except FileNotFoundError:
             return {"stages": {}}
         with handle, _decoding(self.manifest_path):
@@ -164,7 +167,7 @@ class Workspace:
         stage = _WRITER[path.name]
         expected = self.require_stage(stage)[stage]["files"][path.name]
         try:
-            handle = open(path, "rb")
+            handle = _open_regular(path)
         except FileNotFoundError:
             raise StaleWorkspaceError(
                 f"workspace {self.root} is missing {path.name}; re-run {stage}"
@@ -180,16 +183,27 @@ class Workspace:
     # record files ------------------------------------------------------
     #
     # One line per record: its fields as a compact, key-sorted JSON object,
-    # so every line starts with {"business_id": (see _id_token). A business's
-    # features are a sorted list. A reader hashes the whole file as it
-    # streams it and checks the digest once the last line is read, so it may
-    # skip the lines of businesses it does not want and still catch any edit
-    # to the file.
+    # exactly what json.dumps(fields, sort_keys=True, separators=(",", ":"))
+    # gives, so every line starts with {"business_id": (see _id_token). A
+    # business's features are a sorted list. Each writer builds its line with
+    # one f-string: strings through _json_key, review stars through
+    # int.__repr__ and overall_stars through float.__repr__, which is what
+    # json writes for those types. A field of another type raises TypeError
+    # instead of writing a line json.dumps would not. A reader hashes the
+    # whole file as it streams it and checks the digest once the last line
+    # is read, so it may skip the lines of businesses it does not want and
+    # still catch any edit to the file.
 
     def write_businesses(self, records: Iterable[BusinessRecord]) -> None:
-        _write_jsonl(self.businesses_path, (
-            {**r._asdict(), "features": sorted(r.features)} for r in records
-        ))
+        with _create(self.businesses_path) as handle:
+            for business_id, overall_stars, features in records:
+                if type(overall_stars) is not float or not isfinite(overall_stars):
+                    raise TypeError(f"overall_stars is not a finite float: {overall_stars!r}")
+                handle.write(
+                    f'{{"business_id":{_json_key(business_id)},'
+                    f'"features":[{",".join(map(_json_key, sorted(features)))}],'
+                    f'"overall_stars":{overall_stars!r}}}\n'
+                )
 
     def read_businesses(self, business_ids=None) -> dict[str, BusinessRecord]:
         """The business records by id; only those in ``business_ids`` when given."""
@@ -197,7 +211,14 @@ class Workspace:
         return {record.business_id: record for record in records}
 
     def write_reviews(self, reviews: Iterable[ReviewRecord]) -> None:
-        _write_jsonl(self.reviews_path, (r._asdict() for r in reviews))
+        with _create(self.reviews_path) as handle:
+            for business_id, stars, text in reviews:
+                if type(stars) is not int:
+                    raise TypeError(f"review stars are not an int: {stars!r}")
+                handle.write(
+                    f'{{"business_id":{_json_key(business_id)},'
+                    f'"stars":{stars!r},"text":{_json_key(text)}}}\n'
+                )
 
     def read_reviews(self, business_ids=None) -> list[ReviewRecord]:
         """The reviews in file order; only those of ``business_ids`` when given."""
@@ -321,6 +342,24 @@ def _decoding(path: Path):
         ) from exc
 
 
+def _open_regular(path: Path):
+    """Open a workspace file for reading, in binary. A missing file raises
+    FileNotFoundError; anything but a regular file (a directory, a FIFO)
+    raises StaleWorkspaceError naming it. The open never blocks: with
+    O_NONBLOCK a FIFO opens at once and is refused, where a plain open would
+    wait for a writer while the command holds the lock. POSIX opens a
+    directory for reading too, so fstat sees it."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    if stat.S_ISREG(os.fstat(fd).st_mode):
+        return open(fd, "rb")
+    os.close(fd)
+    stage = _WRITER.get(path.name, "ingest")
+    raise StaleWorkspaceError(
+        f"workspace {path.parent}: {path.name} is not a regular file; "
+        f"remove it and re-run {stage}"
+    )
+
+
 @contextmanager
 def _create(path: Path):
     """Open an artifact for writing: UTF-8, "\\n" line endings on every
@@ -354,18 +393,6 @@ def _write_json(path: Path, obj) -> None:
         handle.write(text)
 
 
-def _write_jsonl(path: Path, objects: Iterable[dict]) -> None:
-    """Write one compact, key-sorted JSON object per line, one write each."""
-    with _create(path) as handle:
-        for obj in objects:
-            handle.write(_encode_record(obj) + "\n")
-
-
-# What json.dumps(obj, sort_keys=True, separators=(",", ":")) returns, from
-# one encoder: json.dumps builds a new encoder on every call with options.
-_encode_record = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
 def _business_record(obj: dict) -> BusinessRecord:
     return BusinessRecord(**{**obj, "features": frozenset(obj["features"])})
 
@@ -388,6 +415,9 @@ def _id_token(raw: bytes) -> bytes:
     return json.dumps(_raw_decode(raw.decode("utf-8"), _ID_START)[0]).encode()
 
 
+# json's own C escaper for a string under ensure_ascii=True: what json.dumps
+# gives for a str, quotes included, for every code point. Anything else
+# raises TypeError.
 _json_key = json.encoder.encode_basestring_ascii
 
 

@@ -557,6 +557,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert named in err and f"re-run {rerun}" in err
 
+    @pytest.mark.parametrize("kind", ["fifo", "directory", "symlink_to_directory"])
+    @pytest.mark.parametrize("name,command", [
+        ("reviews.jsonl", "score"), ("reviews.jsonl", "compare"),
+        ("businesses.jsonl", "rank"),
+        ("manifest.json", "rank"), ("manifest.json", "compare"),
+    ])
+    def test_workspace_file_that_is_not_regular(
+        self, data_dir, lexicon_file, tmp_path, kind, name, command
+    ):
+        # A FIFO must not block the command, which holds the lock while it
+        # reads, and a directory is no "input problem": each is a broken
+        # workspace (exit 2) named in the message. Each command is its own
+        # process, so a blocked one is killed at the timeout and fails here.
+        ws = tmp_path / "ws"
+        run_pipeline(data_dir, lexicon_file, ws, through="score")
+        (ws / name).unlink()
+        if kind == "fifo":
+            os.mkfifo(ws / name)
+        elif kind == "directory":
+            (ws / name).mkdir()
+        else:
+            (tmp_path / "elsewhere").mkdir()
+            (ws / name).symlink_to(tmp_path / "elsewhere")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        result = subprocess.run(
+            [sys.executable, "-m", "ratingsift.cli",
+             *pipeline_steps(data_dir, lexicon_file, ws)[command]],
+            env=env, capture_output=True, text=True, timeout=20,
+        )
+        assert result.returncode == 2, result.stderr
+        assert f"{name} is not a regular file" in result.stderr
+
     def test_score_reads_no_taxonomy(self, data_dir, lexicon_file, tmp_path, capsys):
         # Score's output depends only on ranked.csv, reviews.jsonl and the
         # lexicon; compare, which reads taxonomy.cfg, catches its edit.

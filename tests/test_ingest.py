@@ -3,6 +3,7 @@
 import ast
 import io
 import json
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -587,6 +588,55 @@ def test_review_counter_exactness_property(lines):
         + counters.skipped_bad_stars
     )
     assert total == non_blank
+
+
+def reference_review(obj, known):
+    """The record, or None, and the counter one decoded review line adds to,
+    from README's rules: both ids must be non-empty strings and the stars a
+    number, not a bool (else malformed); the stars must be an integer in 1..5
+    (else bad stars); the business must be known; a text that is not a string
+    is empty."""
+    review_id, business_id, stars = obj.get("review_id"), obj.get("business_id"), obj.get("stars")
+    if not (type(review_id) is str and review_id != "" and type(business_id) is str
+            and business_id != "" and type(stars) in (int, float)):
+        return None, "skipped_malformed"
+    if stars not in {1, 2, 3, 4, 5}:
+        return None, "skipped_bad_stars"
+    if business_id not in known:
+        return None, "skipped_unknown_business"
+    text = obj.get("text")
+    return (business_id, int(stars), text if type(text) is str else ""), "parsed"
+
+
+# Every JSON type a review field may hold, with the values at each rule's edge.
+_REVIEW_FIELD = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers() | st.sampled_from([0, 1, 3, 5, 6, -1, 10**20, 2**1024, -(2**1024)]),
+    st.floats() | st.sampled_from([1.0, 3.0, 5.0, 2.5, 5.5, math.nan, math.inf, -math.inf]),
+    st.sampled_from(["", "b1", "b2", "ghost", "r1"]) | st.text(max_size=4),
+    st.lists(st.integers(), max_size=2),
+)
+
+
+@given(st.lists(st.fixed_dictionaries({}, optional=dict.fromkeys(
+    ("review_id", "business_id", "stars", "text"), _REVIEW_FIELD
+)), max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_review_classification_matches_reference(objects):
+    known = {"b1", "b2"}
+    counters = ReviewCounters()
+    records = list(parse_reviews([json.dumps(obj) for obj in objects], known, counters))
+    expected = [reference_review(obj, known) for obj in objects]
+    assert [tuple(record) for record in records] == [
+        record for record, _ in expected if record is not None
+    ]
+    counts = dict.fromkeys(
+        ("parsed", "skipped_malformed", "skipped_unknown_business", "skipped_bad_stars"), 0
+    )
+    for _, counter in expected:
+        counts[counter] += 1
+    assert counters.as_dict() == {**counts, "skipped_duplicate_id": 0}
 
 
 # A small pool of raw values, so that businesses repeat them often; it holds

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import tempfile
 from contextlib import contextmanager
 
@@ -20,7 +21,7 @@ from ratingsift import (
     WorkspaceLockedError,
 )
 from ratingsift import workspace as workspace_module
-from ratingsift.ingest import VALID_BUSINESS_STARS
+from ratingsift.ingest import VALID_BUSINESS_STARS, BusinessRecord, ReviewRecord
 from ratingsift.sentiment import CohortScores, TopicProfile
 from ratingsift.taxonomy import RankEntry
 from ratingsift.workspace import STAGES
@@ -397,6 +398,46 @@ def test_record_lines_lead_with_the_id(businesses, reviews):
                 assert line.startswith(b'{"business_id":' + json.dumps(obj["business_id"]).encode())
         assert ws.read_businesses() == {record.business_id: record for record in businesses}
         assert ws.read_reviews() == reviews
+
+
+def test_record_lines_are_what_json_dumps_gives_on_every_code_point(ws):
+    # Every code point, lone surrogates included, in the id, a feature and
+    # the text: json's own escaper writes each the way json.dumps does.
+    every = "".join(map(chr, range(0x110000)))
+    business = make_business(every, {"wifi", every})
+    review = make_review(every, 5, every)
+    ws.write_businesses([business])
+    ws.write_reviews([review])
+    expected = {
+        "businesses_path": {"business_id": every, "features": sorted(business.features),
+                            "overall_stars": business.overall_stars},
+        "reviews_path": {"business_id": every, "stars": 5, "text": every},
+    }
+    for path_name, obj in expected.items():
+        assert getattr(ws, path_name).read_bytes() == (
+            json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+        ).encode("ascii")
+
+
+@pytest.mark.parametrize("writer,record", [
+    ("write_reviews", ReviewRecord("b1", True, "text")),
+    ("write_reviews", ReviewRecord("b1", 3.0, "text")),
+    ("write_reviews", ReviewRecord("b1", "3", "text")),
+    ("write_reviews", ReviewRecord(7, 3, "text")),
+    ("write_reviews", ReviewRecord("b1", 3, None)),
+    ("write_businesses", BusinessRecord("b1", 4, frozenset())),
+    ("write_businesses", BusinessRecord("b1", math.nan, frozenset())),
+    ("write_businesses", BusinessRecord("b1", math.inf, frozenset())),
+    ("write_businesses", BusinessRecord(7, 4.0, frozenset())),
+    ("write_businesses", BusinessRecord("b1", 4.0, frozenset({7}))),
+], ids=["stars_true", "stars_float", "stars_str", "review_business_id_int", "text_none",
+        "overall_stars_int", "overall_stars_nan", "overall_stars_inf", "business_id_int",
+        "feature_int"])
+def test_record_writers_reject_other_field_types(ws, writer, record):
+    # A line holds only what the record types hold: json.dumps would write
+    # true, 3.0, NaN or a bare number here, which the line format never has.
+    with pytest.raises(TypeError):
+        getattr(ws, writer)([record])
 
 
 @given(df=st.dictionaries(AWKWARD_TEXT, st.integers(1, 10**6), max_size=6), data=st.data())
