@@ -9,9 +9,11 @@ Each ``cmd_*(args, workspace)`` checks its stage before its flags and reads
 only the workspace files its output depends on.
 Score keeps the lexicon it used in the workspace, so compare reads no file
 outside it. Exit codes: 0 on success, 1 on an input problem (missing file, bad
-record stream, unknown business id, bad flag), 2 when the workspace does not
-exist, is locked or lacks a prerequisite stage, or when a workspace file the
-command reads is missing, damaged or changed since the stage that wrote it.
+record stream, unknown business id, bad flag, a failed workspace write), 2
+when the workspace does not exist, is locked or lacks a prerequisite stage,
+when a workspace file the command reads is missing, damaged or changed since
+the stage that wrote it, or when one it reads or writes is not a regular
+file.
 """
 
 import argparse

@@ -21,6 +21,7 @@ keeps its business, stars and text; its id is read only to drop duplicates.
 import functools
 import json
 import re
+from operator import itemgetter
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, Union
 
 from .taxonomy import DEFAULT_TAXONOMY
@@ -147,7 +148,7 @@ class ReviewRecord(NamedTuple):
     text: str
 
 
-def parse_attribute_value(raw: str, counters: BusinessCounters | None = None) -> AttributeValue:
+def parse_attribute_value(raw: str) -> AttributeValue:
     """Parse one raw attribute value string.
 
     The one grammar: a leaf is True, False, None, a decimal integer, or a
@@ -155,9 +156,9 @@ def parse_attribute_value(raw: str, counters: BusinessCounters | None = None) ->
     around ``key: leaf`` entries separated by commas, empty ones tolerated;
     a key is quoted, or a bare word of letters, digits, ``_`` and ``-`` not
     starting like a number, and a later duplicate wins. Anything else, other
-    Python literal syntax included, is returned unchanged (``raw`` itself)
-    as an opaque token counted in ``counters.attribute_fallbacks``; no other
-    result is ``raw``. Never raises.
+    Python literal syntax included, is a fallback: it is returned unchanged
+    (``raw`` itself) as an opaque token, and no other result is ``raw``.
+    Never raises.
     """
     s = raw.strip()
     try:
@@ -167,8 +168,6 @@ def parse_attribute_value(raw: str, counters: BusinessCounters | None = None) ->
             return _parse_map(s)
     except ValueError:  # outside the grammar, or past int()'s digit limit
         pass
-    if counters is not None:
-        counters.attribute_fallbacks += 1
     return raw
 
 
@@ -416,6 +415,15 @@ def _build_review(obj: dict, counters: ReviewCounters, known: set[str]) -> Revie
     return ReviewRecord(business_id, int(raw_stars), text if isinstance(text, str) else "")
 
 
+def _keyed_reviews(stream, known_business_ids, counters) -> Iterator[tuple[str, ReviewRecord]]:
+    """The one review loop: each record with the review id of its line."""
+    known = set(known_business_ids)
+    for obj in _iter_objects(stream, counters):
+        record = _build_review(obj, counters, known)
+        if record is not None:
+            yield obj["review_id"], record
+
+
 def parse_reviews(
     stream: Union[IO, Iterable],
     known_business_ids: Iterable[str],
@@ -429,31 +437,35 @@ def parse_reviews(
     """
     if counters is None:
         counters = ReviewCounters()
-    known = set(known_business_ids)
-    for obj in _iter_objects(stream, counters):
-        record = _build_review(obj, counters, known)
-        if record is not None:
-            yield record
+    yield from map(itemgetter(1), _keyed_reviews(stream, known_business_ids, counters))
+
+
+def _first_wins(path, kind: str, counters, keyed) -> dict:
+    """The ``(id, record)`` pairs ``keyed(handle)`` reads from the file at
+    ``path``, as an id-keyed dict in which the first record of an id wins.
+    A later duplicate is counted in ``skipped_duplicate_id`` and stays
+    counted as parsed, since its line was well-formed; a skipped line claims
+    no id. Any read error is an IngestError naming the ``kind`` of file."""
+    records = {}
+    try:
+        with open(path, "rb") as handle:
+            for record_id, record in keyed(handle):
+                if record_id in records:
+                    counters.skipped_duplicate_id += 1
+                else:
+                    records[record_id] = record
+    except OSError as exc:
+        raise IngestError(f"cannot read {kind} file {path}: {exc}") from exc
+    return records
 
 
 def load_businesses(path) -> tuple[dict[str, BusinessRecord], BusinessCounters]:
-    """Parse a business file into an id-keyed dict.
-
-    Enforces business_id uniqueness: the first occurrence wins and later
-    duplicates are counted in ``skipped_duplicate_id`` (they remain counted
-    as parsed, since the line itself was well-formed).
-    """
+    """Parse a business file into an id-keyed dict; the first occurrence of
+    a business_id wins (see ``_first_wins``)."""
     counters = BusinessCounters()
-    records: dict[str, BusinessRecord] = {}
-    try:
-        with open(path, "rb") as handle:
-            for record in parse_businesses(handle, counters):
-                if record.business_id in records:
-                    counters.skipped_duplicate_id += 1
-                    continue
-                records[record.business_id] = record
-    except OSError as exc:
-        raise IngestError(f"cannot read business file {path}: {exc}") from exc
+    records = _first_wins(path, "business", counters, lambda handle: (
+        (record.business_id, record) for record in parse_businesses(handle, counters)
+    ))
     return records, counters
 
 
@@ -462,27 +474,10 @@ def load_reviews(
     known_business_ids: Iterable[str],
 ) -> tuple[list[ReviewRecord], ReviewCounters]:
     """Parse a review file into a list, dropping reviews for unknown ids.
-
-    Enforces review_id uniqueness as ``load_businesses`` does for business
-    ids, before the id is dropped from the record: the first valid occurrence
-    wins and later duplicates are counted in ``skipped_duplicate_id`` (and
-    remain counted as parsed). A skipped line claims no id.
-    """
+    The first valid occurrence of a review_id wins, as for business ids."""
     counters = ReviewCounters()
-    reviews: list[ReviewRecord] = []
-    seen: set[str] = set()
-    known = set(known_business_ids)
-    try:
-        with open(path, "rb") as handle:
-            for obj in _iter_objects(handle, counters):
-                review = _build_review(obj, counters, known)
-                if review is None:
-                    continue
-                if obj["review_id"] in seen:
-                    counters.skipped_duplicate_id += 1
-                    continue
-                seen.add(obj["review_id"])
-                reviews.append(review)
-    except OSError as exc:
-        raise IngestError(f"cannot read review file {path}: {exc}") from exc
-    return reviews, counters
+    records = _first_wins(
+        path, "review", counters,
+        lambda handle: _keyed_reviews(handle, known_business_ids, counters),
+    )
+    return list(records.values()), counters

@@ -5,15 +5,18 @@ manifest entry holding its counters, its settings and the SHA-256 of each
 artifact. Every read of an artifact goes through ``_reading``, so a command
 refuses a file it reads that is missing, not a regular file, damaged or
 changed since the stage that wrote it, and the files it does not read cannot
-stop it. The lock is an ``flock`` on the directory, so the workspace holds
-nothing else. All writers are deterministic: fixed key order, fixed
-six-decimal formatting for rationals, "\n" line endings, and no timestamps,
-so identical inputs produce byte-identical files. Each writer overwrites its
-file in place and cuts it to length once done (see ``_create``); the
-manifest is written with one call.
+stop it. Every open of a workspace file, to read or to write, goes through
+``_open_regular``, which refuses anything but a regular file and never
+waits on a FIFO. The lock is an ``flock`` on the directory, so the
+workspace holds nothing else. All writers are deterministic: fixed key
+order, fixed six-decimal formatting for rationals, "\n" line endings, and
+no timestamps, so identical inputs produce byte-identical files. Each writer
+overwrites its file in place and cuts it to length once done (see
+``_create``); the manifest is written with one call.
 """
 
 import csv
+import errno
 import fcntl
 import hashlib
 import io
@@ -111,7 +114,7 @@ class Workspace:
         """The manifest, ``{"stages": {stage: entry}}``; a stage is complete
         when it has an entry, which holds its counters and settings."""
         try:
-            handle = _open_regular(self.manifest_path)
+            handle = open(self.manifest_path, "rb", opener=_open_regular)
         except FileNotFoundError:
             return {"stages": {}}
         with handle, _decoding(self.manifest_path):
@@ -139,7 +142,10 @@ class Workspace:
         _write_json(self.manifest_path, {"stages": kept})
         for later in order[position + 1:]:
             for name in STAGES[later]:
-                (self.root / name).unlink(missing_ok=True)
+                try:
+                    (self.root / name).unlink(missing_ok=True)
+                except IsADirectoryError:
+                    raise _not_regular(self.root / name, stage) from None
 
     def record_stage(self, stage: str, info: dict) -> None:
         """Mark a stage complete once its artifacts are written, with their SHA-256."""
@@ -167,7 +173,7 @@ class Workspace:
         stage = _WRITER[path.name]
         expected = self.require_stage(stage)[stage]["files"][path.name]
         try:
-            handle = _open_regular(path)
+            handle = open(path, "rb", opener=_open_regular)
         except FileNotFoundError:
             raise StaleWorkspaceError(
                 f"workspace {self.root} is missing {path.name}; re-run {stage}"
@@ -342,19 +348,32 @@ def _decoding(path: Path):
         ) from exc
 
 
-def _open_regular(path: Path):
-    """Open a workspace file for reading, in binary. A missing file raises
+def _open_regular(path, flags: int) -> int:
+    """The opener of every workspace file, for ``open(path, mode,
+    opener=_open_regular)``. A missing file to read raises
     FileNotFoundError; anything but a regular file (a directory, a FIFO)
     raises StaleWorkspaceError naming it. The open never blocks: with
-    O_NONBLOCK a FIFO opens at once and is refused, where a plain open would
-    wait for a writer while the command holds the lock. POSIX opens a
-    directory for reading too, so fstat sees it."""
-    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
-    if stat.S_ISREG(os.fstat(fd).st_mode):
-        return open(fd, "rb")
-    os.close(fd)
-    stage = _WRITER.get(path.name, "ingest")
-    raise StaleWorkspaceError(
+    O_NONBLOCK a FIFO opens at once for reading and is refused, where a
+    plain open would wait for a writer while the command holds the lock;
+    for writing, it fails with ENXIO when no reader has it open. POSIX opens
+    a directory for reading, so fstat sees it, and refuses it for writing
+    with EISDIR. A write overwrites the file in place: O_TRUNC is dropped
+    (see ``_create``)."""
+    try:
+        fd = os.open(path, flags & ~os.O_TRUNC | os.O_NONBLOCK, 0o666)
+    except OSError as exc:
+        if exc.errno not in (errno.ENXIO, errno.EISDIR):
+            raise
+    else:
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            return fd
+        os.close(fd)
+    path = Path(path)
+    raise _not_regular(path, _WRITER.get(path.name, "ingest")) from None
+
+
+def _not_regular(path: Path, stage: str) -> StaleWorkspaceError:
+    return StaleWorkspaceError(
         f"workspace {path.parent}: {path.name} is not a regular file; "
         f"remove it and re-run {stage}"
     )
@@ -368,13 +387,9 @@ def _create(path: Path):
     disk waits for the disk (tens of milliseconds on ext4), overwriting it
     does not. An interrupted write leaves new bytes followed by old ones,
     which no manifest entry claims."""
-    with open(path, "w", encoding="utf-8", newline="", opener=_open_in_place) as handle:
+    with open(path, "w", encoding="utf-8", newline="", opener=_open_regular) as handle:
         yield handle
         handle.truncate()
-
-
-def _open_in_place(path, flags: int) -> int:
-    return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
 def _write_csv(path: Path, header: list, rows: Iterable) -> None:
@@ -438,7 +453,7 @@ _NEEDS_CSV = re.compile('[\t"\r\n\0]').search
 def file_sha256(path) -> str:
     """Hex SHA-256 of a file's bytes, read in 64 KiB chunks."""
     digest = hashlib.sha256()
-    with open(path, "rb") as handle:
+    with open(path, "rb", opener=_open_regular) as handle:
         for chunk in iter(lambda: handle.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()

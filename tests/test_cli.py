@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from ratingsift import DEFAULT_TAXONOMY, ReviewRecord, Workspace, alcohol_amenity_taxonomy, cli
+from ratingsift import workspace as workspace_module
 from ratingsift.cli import main
 from ratingsift.workspace import STAGES
 
@@ -75,6 +76,31 @@ WRITES = [
     ("score", "write_corpus_stats", "corpus_stats_path"),
     ("score", "write_lexicon", "lexicon_path"),
 ]
+
+
+# Each artifact a command writes, as (name, command). Ingest also writes the
+# manifest before any other file.
+WRITTEN = [(name, stage) for stage, names in STAGES.items() for name in names]
+
+
+class _FullDisk:
+    """Stands in for ``workspace._create``: the first write to the file
+    ``name`` raises OSError(ENOSPC), as on a full disk. Other files pass
+    through."""
+
+    def __init__(self, name):
+        self.name = name
+        self.create = workspace_module._create  # the real one, before it is patched
+
+    @contextlib.contextmanager
+    def __call__(self, path):
+        with self.create(path) as handle:
+            yield self if path.name == self.name else handle
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    writelines = write
 
 
 # Each command run to each exit code, from the stage run before it (or an
@@ -562,14 +588,15 @@ class TestExitCodes:
         ("reviews.jsonl", "score"), ("reviews.jsonl", "compare"),
         ("businesses.jsonl", "rank"),
         ("manifest.json", "rank"), ("manifest.json", "compare"),
+        *WRITTEN, ("manifest.json", "ingest"),
     ])
     def test_workspace_file_that_is_not_regular(
         self, data_dir, lexicon_file, tmp_path, kind, name, command
     ):
         # A FIFO must not block the command, which holds the lock while it
-        # reads, and a directory is no "input problem": each is a broken
-        # workspace (exit 2) named in the message. Each command is its own
-        # process, so a blocked one is killed at the timeout and fails here.
+        # reads or writes, and a directory is no "input problem": each is a
+        # broken workspace (exit 2) named in the message. Each command is its
+        # own process, so a blocked one is killed at the timeout and fails here.
         ws = tmp_path / "ws"
         run_pipeline(data_dir, lexicon_file, ws, through="score")
         (ws / name).unlink()
@@ -588,6 +615,55 @@ class TestExitCodes:
         )
         assert result.returncode == 2, result.stderr
         assert f"{name} is not a regular file" in result.stderr
+
+    @pytest.mark.parametrize("name,command", [*WRITTEN, ("manifest.json", "ingest")])
+    def test_dangling_symlink_is_written_through(
+        self, data_dir, lexicon_file, tmp_path, name, command
+    ):
+        # A symlink to nowhere in place of a file the command writes is not
+        # refused: the write creates the link's target with the file's bytes.
+        runs = {}
+        for side in ("reference", "linked"):
+            ws = tmp_path / side
+            run_pipeline(data_dir, lexicon_file, ws, through="score")
+            if side == "linked":
+                (ws / name).unlink()
+                (ws / name).symlink_to(tmp_path / "target")
+            assert main(pipeline_steps(data_dir, lexicon_file, ws)[command]) == 0
+            runs[side] = ws
+        assert (runs["linked"] / name).is_symlink()
+        assert (tmp_path / "target").read_bytes() == (runs["reference"] / name).read_bytes()
+
+    @pytest.mark.parametrize("name,command", [("topics.tsv", "rank"), ("ranked.csv", "ingest")])
+    def test_directory_where_a_stage_deletes_a_later_file(
+        self, data_dir, lexicon_file, tmp_path, capsys, name, command
+    ):
+        ws = tmp_path / "ws"
+        run_pipeline(data_dir, lexicon_file, ws, through="score")
+        (ws / name).unlink()
+        (ws / name).mkdir()
+        capsys.readouterr()
+        assert main(pipeline_steps(data_dir, lexicon_file, ws)[command]) == 2
+        err = capsys.readouterr().err
+        assert f"{name} is not a regular file; remove it and re-run {command}" in err
+
+    @pytest.mark.parametrize("name,command", WRITTEN)
+    def test_failed_write_exits_1_and_is_never_claimed(
+        self, data_dir, lexicon_file, tmp_path, capsys, monkeypatch, name, command
+    ):
+        # A full disk fails the command with exit 1, naming the error, and
+        # the manifest never claims its stage, so the next command exits 2.
+        ws = tmp_path / "ws"
+        run_pipeline(data_dir, lexicon_file, ws, through="score")
+        steps = pipeline_steps(data_dir, lexicon_file, ws)
+        capsys.readouterr()
+        with monkeypatch.context() as patch:
+            patch.setattr(workspace_module, "_create", _FullDisk(name))
+            assert main(steps[command]) == 1
+        assert os.strerror(errno.ENOSPC) in capsys.readouterr().err
+        order = list(steps)
+        assert main(steps[order[order.index(command) + 1]]) == 2
+        assert f"no completed {command!r} stage" in capsys.readouterr().err
 
     def test_score_reads_no_taxonomy(self, data_dir, lexicon_file, tmp_path, capsys):
         # Score's output depends only on ranked.csv, reviews.jsonl and the

@@ -1,9 +1,12 @@
 """Attribute parsing, flattening, and streaming file ingest."""
 
 import ast
+import errno
 import io
 import json
 import math
+import os
+import tempfile
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,6 +33,14 @@ from conftest import (
     business_line,
     review_line,
 )
+
+
+def _fallbacks_counted(raw):
+    """The attribute fallbacks parse_businesses counts for one business
+    whose only attribute holds ``raw``."""
+    counters = BusinessCounters()
+    list(parse_businesses([business_line("b1", attributes={"HasTV": raw})], counters=counters))
+    return counters.attribute_fallbacks
 
 
 class TestParseAttributeValue:
@@ -92,9 +103,8 @@ class TestParseAttributeValue:
         "{'a': 2.5, 'a': True}",      # non-leaf overwritten by a duplicate
     ])
     def test_unrecognized_falls_back_to_opaque_string(self, raw):
-        counters = BusinessCounters()
-        assert parse_attribute_value(raw, counters) is raw
-        assert counters.attribute_fallbacks == 1
+        assert parse_attribute_value(raw) is raw
+        assert _fallbacks_counted(raw) == 1
 
     def test_fallback_never_raises(self):
         for raw in ("", "}{", "{'", "u'unterminated", "{,}", "{:}"):
@@ -310,9 +320,9 @@ class TestFlattenCache:
         calls = []
         real = ingest.parse_attribute_value
 
-        def counting(raw, counters=None):
+        def counting(raw):
             calls.append(raw)
-            return real(raw, counters)
+            return real(raw)
 
         monkeypatch.setattr(ingest, "parse_attribute_value", counting)
         return calls
@@ -470,6 +480,21 @@ class TestLoaders:
         with pytest.raises(IngestError):
             load_reviews(tmp_path / "nope.json", {"b1"})
 
+    @pytest.mark.parametrize("load,kind", [
+        (load_businesses, "business"), (lambda path: load_reviews(path, {"b1"}), "review"),
+    ], ids=["businesses", "reviews"])
+    def test_read_error_while_reading_lines(self, tmp_path, monkeypatch, load, kind):
+        def failing(stream, counters):
+            yield json.loads(business_line("b1"))
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        path = tmp_path / "dump.json"
+        path.write_text("{}\n", encoding="utf-8")
+        monkeypatch.setattr(ingest, "_iter_objects", failing)
+        message = f"cannot read {kind} file .*{os.strerror(errno.EIO)}"
+        with pytest.raises(IngestError, match=message):
+            load(path)
+
     def test_load_reviews_dedupes_first_wins(self, tmp_path):
         # The id is read before the record drops it, and only a line that
         # passes every other check claims it: a valid first line wins over a
@@ -501,6 +526,77 @@ class TestLoaders:
         assert counters.parsed == 1
 
 
+def _write_lines(directory, lines):
+    path = os.path.join(directory, "dump.json")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(line + "\n" for line in lines)
+    return path
+
+
+# Review lines that repeat ids, each of which a skip (bad stars, an unknown
+# business, a malformed line) may hit first, with the line's index as text.
+_REVIEW_LINES = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["r1", "r2", "r3", ""]), st.sampled_from(["b1", "b2", "ghost"]),
+              st.sampled_from([1, 3, 5, 9, 2.5])),
+    st.sampled_from(["{broken", '{"review_id": "r1"}', "[]", ""]),
+), max_size=12).map(lambda drawn: [
+    review_line(*line, f"line {i}") if isinstance(line, tuple) else line
+    for i, line in enumerate(drawn)
+])
+
+
+@given(_REVIEW_LINES)
+@settings(max_examples=150, deadline=None)
+def test_load_reviews_is_parse_reviews_first_wins(lines):
+    # load_reviews keeps what parse_reviews yields, the first record of each
+    # review id read from its line, and counts the later ones.
+    known = {"b1", "b2"}
+    counters = ReviewCounters()
+    expected, seen = [], set()
+    for line in lines:
+        for record in parse_reviews([line], known, counters):
+            review_id = json.loads(line)["review_id"]
+            if review_id in seen:
+                counters.skipped_duplicate_id += 1
+            else:
+                seen.add(review_id)
+                expected.append(record)
+    with tempfile.TemporaryDirectory() as directory:
+        assert load_reviews(_write_lines(directory, lines), known) == (expected, counters)
+
+
+# Business lines that repeat ids, with malformed ones, non-restaurants and
+# attribute fallbacks among them.
+_BUSINESS_LINES = st.lists(st.one_of(
+    st.builds(
+        business_line,
+        st.sampled_from(["b1", "b2", "b3", ""]),
+        stars=st.sampled_from([4.0, 2.5, 7]),
+        categories=st.sampled_from(["Restaurants", "Plumbing"]),
+        attributes=st.dictionaries(st.sampled_from(["HasTV", "WiFi", "DogsAllowed"]),
+                                   st.sampled_from(["True", "False", "maybe"]), max_size=2),
+    ),
+    st.sampled_from(["{broken", "[]", ""]),
+), max_size=12)
+
+
+@given(_BUSINESS_LINES)
+@settings(max_examples=150, deadline=None)
+def test_load_businesses_is_parse_businesses_first_wins(lines):
+    counters = BusinessCounters()
+    expected = {}
+    for line in lines:
+        for record in parse_businesses([line], counters):
+            if record.business_id in expected:
+                counters.skipped_duplicate_id += 1
+            else:
+                expected[record.business_id] = record
+    with tempfile.TemporaryDirectory() as directory:
+        records, loaded = load_businesses(_write_lines(directory, lines))
+    assert list(records.items()) == list(expected.items())
+    assert loaded == counters
+
+
 @given(st.text(max_size=40))
 @example("''")
 @example(" 'a' ")
@@ -512,12 +608,10 @@ class TestLoaders:
 @example(" maybe ")
 @settings(max_examples=120, deadline=None)
 def test_parse_attribute_value_total(raw):
-    # parser must accept arbitrary garbage without raising; it counts a
-    # fallback exactly when it hands back ``raw`` itself, which is how
-    # _flatten_attribute counts fallbacks
-    counters = BusinessCounters()
-    value = parse_attribute_value(raw, counters)
-    assert counters.attribute_fallbacks == (value is raw)
+    # parser must accept arbitrary garbage without raising; a parse counts a
+    # fallback exactly when it hands back ``raw`` itself
+    value = parse_attribute_value(raw)
+    assert _fallbacks_counted(raw) == (value is raw)
 
 
 # Maps inside the attribute grammar, for ast.literal_eval as the reference:
