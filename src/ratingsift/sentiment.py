@@ -23,11 +23,23 @@ from .stopwords import STOPWORDS
 # {2,} drops the one-character runs.
 _TOKEN_RE = re.compile(r"\w{2,}")
 
+# In ASCII text the alphanumerics are [A-Za-z0-9], and once it is lowercased
+# [a-z0-9]: mapping every other ASCII character to a space lets split() find
+# the maximal runs, and one set drops both the one-character runs and the
+# stopwords.
+_ASCII_GAPS = {c: " " for c in range(128) if not chr(c).isalnum()}
+_ASCII_DROP = STOPWORDS | set("abcdefghijklmnopqrstuvwxyz0123456789")
+
 
 def tokenize(text: str) -> list[str]:
     """The maximal runs of ``str.isalnum()`` characters in the lowercased
     text, in order, except runs shorter than two characters and stopwords."""
-    runs = _TOKEN_RE.findall(text.lower().replace("_", " "))
+    text = text.lower()
+    # Tested after lowercasing: the Kelvin sign lowers to ASCII "k", and "İ"
+    # to "i" plus a combining dot, which is not ASCII.
+    if text.isascii():
+        return list(filterfalse(_ASCII_DROP.__contains__, text.translate(_ASCII_GAPS).split()))
+    runs = _TOKEN_RE.findall(text.replace("_", " "))
     return list(filterfalse(STOPWORDS.__contains__, runs))
 
 
@@ -168,12 +180,15 @@ def top_terms(doc: StarDocument, stats: CorpusStats, k: int) -> list[tuple[str, 
     counts = doc.term_counts
     weights = list(map(mul, counts.values(), map(stats._idf.__getitem__, counts)))
     # Plain tuples sort by negated weight, then term, with no key function.
-    ranked = zip(map(neg, weights), counts)
     if len(weights) > k:
-        # Only terms at or above the k-th largest weight can be kept. Ties at
-        # it are all sorted, so the alphabetical tie-break is unchanged.
+        # Only terms at or above the k-th largest weight can be kept, so only
+        # theirs are negated and paired. Ties at it are all sorted, so the
+        # alphabetical tie-break is unchanged.
         cut = sorted(weights, reverse=True)[k - 1]
-        ranked = compress(ranked, map(ge, weights, repeat(cut)))
+        kept = list(map(ge, weights, repeat(cut)))
+        ranked = zip(map(neg, compress(weights, kept)), compress(counts, kept))
+    else:
+        ranked = zip(map(neg, weights), counts)
     # No idf is negative, so a count <= 0 weighs <= 0 and is dropped here.
     return [(term, -minus_w) for minus_w, term in sorted(ranked)[:k] if minus_w < 0.0]
 

@@ -1144,11 +1144,16 @@ def test_shuffled_input_lines_change_only_their_record_file(
     stdout_after, files_after = _shuffled_run(
         tmp_path / "data", lexicon_file, tmp_path / "ws2", lines, capsys)
     assert stdout_after == stdout
-    record_file = f"{shuffled}.jsonl"
-    assert files_after[record_file] != files[record_file]
-    digests = (_sha256(f[record_file]).encode() for f in (files, files_after))
-    files["manifest.json"] = files["manifest.json"].replace(*digests)
-    files[record_file] = files_after[record_file]
+    _assert_only_file_and_digest_differ(files, files_after, f"{shuffled}.jsonl")
+
+
+def _assert_only_file_and_digest_differ(files, files_after, name):
+    """The two workspaces differ in ``name`` and, in the manifest, in its
+    digest alone."""
+    assert files_after[name] != files[name]
+    digests = (_sha256(f[name]).encode() for f in (files, files_after))
+    files = {**files, "manifest.json": files["manifest.json"].replace(*digests),
+             name: files_after[name]}
     assert files_after == files
 
 
@@ -1200,11 +1205,122 @@ def test_lexicon_terms_no_topic_holds_change_only_lexicon_tsv(tmp_path, lexicon_
     stdout_after, files_after = _shuffled_run(
         tmp_path / "data", richer, tmp_path / "ws2", lines, capsys, compare=True)
     assert stdout_after == stdout
-    assert files_after["lexicon.tsv"] != files["lexicon.tsv"]
-    digests = (_sha256(f["lexicon.tsv"]).encode() for f in (files, files_after))
-    files["manifest.json"] = files["manifest.json"].replace(*digests)
-    files["lexicon.tsv"] = files_after["lexicon.tsv"]
-    assert files_after == files
+    _assert_only_file_and_digest_differ(files, files_after, "lexicon.tsv")
+
+
+def test_non_ascii_separators_change_only_reviews_jsonl(tmp_path, lexicon_file, capsys):
+    # Review text that is ASCII once lowercased is split without the regex,
+    # other text with it, into the same terms. Every other review has ASCII
+    # separators swapped for non-ASCII ones (a curly apostrophe, a no-break
+    # space, an emoji between words), so it takes the other path; only
+    # reviews.jsonl and its digest in the manifest change.
+    lines = _shuffle_corpus(random.Random(2424))
+    texts = []
+    for i, line in enumerate(lines["reviews"]):
+        obj = json.loads(line)
+        obj["text"] = obj["text"].replace(" ", " chef's ", 1)
+        texts.append(obj["text"])
+        lines["reviews"][i] = json.dumps(obj)
+    assert all(text.isascii() and text.count(" ") >= 2 for text in texts)
+    stdout, files = _shuffled_run(tmp_path / "data", lexicon_file, tmp_path / "ws", lines,
+                                  capsys, compare=True)
+    for i in range(0, len(lines["reviews"]), 2):
+        obj = json.loads(lines["reviews"][i])
+        obj["text"] = (obj["text"].replace("'", "\u2019").replace(" ", "\u00a0", 1)
+                       .replace(" ", " \U0001f600 ", 1))
+        lines["reviews"][i] = json.dumps(obj)
+    stdout_after, files_after = _shuffled_run(
+        tmp_path / "data", lexicon_file, tmp_path / "ws2", lines, capsys, compare=True)
+    assert len(stdout) > 3 and stdout_after == stdout
+    _assert_only_file_and_digest_differ(files, files_after, "reviews.jsonl")
+
+
+class _FileAudit:
+    """The paths a command opens for reading, opens for writing and removes,
+    from the ``open`` and ``os.remove`` audit events (PEP 578). An audit hook
+    cannot be removed, so the ``file_audit`` fixture adds this one once per
+    process, and it records only while ``paths`` is set."""
+
+    paths = None
+    added = False
+
+    @classmethod
+    def hook(cls, event, args):
+        paths = cls.paths
+        if paths is None:
+            return
+        if event == "open":
+            # builtins.open and os.open both pass the open(2) flags
+            kind = "written" if args[2] & os.O_ACCMODE else "read"
+        elif event == "os.remove":
+            kind = "removed"
+        else:
+            return
+        paths[kind].add(Path(os.fsdecode(args[0])))
+
+
+@pytest.fixture
+def file_audit():
+    """Runs ``main(argv)`` and returns its exit code and ``_FileAudit``'s
+    paths: ``{"read": set, "written": set, "removed": set}``."""
+    if not _FileAudit.added:
+        sys.addaudithook(_FileAudit.hook)
+        _FileAudit.added = True
+
+    def run(argv):
+        _FileAudit.paths = paths = {"read": set(), "written": set(), "removed": set()}
+        try:
+            return main(argv), paths
+        finally:
+            _FileAudit.paths = None
+
+    return run
+
+
+def _readme_reads():
+    """README's "command | reads" table: each command's workspace files."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| command | reads |\n", 1)[1].split("\n\n", 1)[0]
+    rows = {}
+    for row in table.splitlines()[1:]:
+        command, names = row.strip("|").split("|")
+        rows[command.strip()] = {name.strip(" `") for name in names.split(",")}
+    return rows
+
+
+def test_each_command_opens_only_what_readme_lists(data_dir, lexicon_file, tmp_path, file_audit):
+    # Of the workspace files, each command opens for reading manifest.json
+    # and its row of README's table, besides the artifacts a stage reads back
+    # to hash. A stage writes its artifacts and the manifest and removes the
+    # later stages' artifacts. Compare writes and removes nothing, so a
+    # shared lock could let compares run together. Outside the workspace,
+    # only its directory (the lock) and the command's input flags are opened.
+    table = _readme_reads()
+    assert set(table) == {"rank", "score", "compare"} and all(table.values())
+    ws = tmp_path / "ws"
+    steps = pipeline_steps(data_dir, lexicon_file, ws)
+    steps["compare text"] = steps["compare"] + ["--format", "text"]
+    inputs = {"ingest": {data_dir / "business.json", data_dir / "review.json"},
+              "score": {lexicon_file}}
+    order = list(STAGES)
+    for run in ("first run", "rerun"):
+        for step, argv in steps.items():
+            command = argv[0]
+            code, paths = file_audit(argv)
+            assert code == 0, (run, step)
+            names = {kind: {path.name for path in found if path.parent == ws}
+                     for kind, found in paths.items()}
+            outside = {path for found in paths.values() for path in found if path.parent != ws}
+            own = set(STAGES.get(command, ()))
+            reads = {"manifest.json"} | table.get(command, set())
+            assert names["read"] - own == reads, (run, step)
+            assert outside == {ws} | inputs.get(command, set()), (run, step)
+            if command == "compare":
+                assert paths["written"] == paths["removed"] == set(), (run, step)
+            else:
+                later = order[order.index(command) + 1:]
+                assert names["written"] == own | {"manifest.json"}, (run, step)
+                assert names["removed"] == {name for stage in later for name in STAGES[stage]}
 
 
 def _new_prefix_old_tail(new, old):

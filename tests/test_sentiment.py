@@ -96,6 +96,40 @@ def test_tokenize_matches_reference_on_every_code_point():
     assert tokenize(text) == reference_tokenize(text)
 
 
+# Text that is ASCII once lowercased is split without the regex; the tests
+# above rarely draw a string that is all ASCII.
+_ASCII = list(map(chr, range(128)))
+
+
+def test_ascii_tokenize_matches_reference_on_every_ascii_code_point():
+    text = " ".join(map(mul, _ASCII, repeat(2)))
+    assert text.isascii()
+    assert tokenize(text) == reference_tokenize(text)
+
+
+def test_ascii_tokenize_matches_reference_on_every_pair_between_letters():
+    # Each ordered pair either joins the two letters into one run, splits
+    # them, or adds a run of its own.
+    texts = [f"Q{a}{b}z" for a in _ASCII for b in _ASCII]
+    assert list(map(tokenize, texts)) == list(map(reference_tokenize, texts))
+
+
+@given(st.text(st.characters(max_codepoint=127)))
+@example("Snake_Case __INIT__ don't e-mail 3x 45 I a")
+@settings(max_examples=300, deadline=None)
+def test_ascii_tokenize_matches_reference(text):
+    assert tokenize(text) == reference_tokenize(text)
+
+
+@pytest.mark.parametrize("text", [
+    "\u212aELVIN",  # the Kelvin sign lowercases to ASCII "k"
+    "İstanbul",  # "İ" lowercases to "i" plus U+0307, which is not ASCII
+])
+def test_tokenize_tests_the_lowercased_text_for_ascii(text):
+    assert not text.isascii()
+    assert tokenize(text) == reference_tokenize(text)
+
+
 class TestBuildStarDocuments:
     def test_groups_by_business_and_star(self):
         reviews = [
