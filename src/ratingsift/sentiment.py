@@ -11,7 +11,7 @@ import io
 import math
 import re
 from collections import Counter
-from itertools import compress, filterfalse, repeat
+from itertools import compress, filterfalse, groupby, repeat
 from operator import ge, itemgetter, mul, neg
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -62,6 +62,16 @@ def build_star_documents(
     reviews, they just carry no scoreable terms. Output is sorted by
     (business_id, stars) so the corpus is reproducible.
 
+    Reviews are taken a run at a time, a run being consecutive reviews of
+    one business: each run's texts at one star level are joined with spaces
+    and tokenized once. That gives the terms of tokenizing each text alone,
+    in the same order: no term spans a space, lowercasing's one context rule
+    (final sigma) stops at a space, the joined text is ASCII exactly when
+    every text is, and both of ``tokenize``'s paths give the same terms.
+    Counts add up across runs, so reviews in any order give the same
+    documents. Ingest writes each business's reviews together, so over its
+    ``reviews.jsonl`` each document costs one ``tokenize`` call.
+
     Every document holds one string per distinct term, shared with the
     other documents, so a corpus costs its vocabulary once rather than once
     per document. No document refers to a review, so a caller that passes
@@ -75,15 +85,19 @@ def build_star_documents(
     vocabulary: dict[str, str] = {}
     shared = vocabulary.setdefault
     buckets: dict[tuple[str, int], Counter] = {}
-    for review in reviews:
-        if review.business_id not in cohort:
+    for business_id, run in groupby(reviews, itemgetter(0)):
+        if business_id not in cohort:
             continue
-        key = (review.business_id, review.stars)
-        bucket = buckets.get(key)
-        if bucket is None:
-            bucket = buckets[key] = Counter()
-        tokens = tokenize(review.text)
-        bucket.update(map(shared, tokens, tokens))
+        texts: dict[int, list[str]] = {}
+        for _, stars, text in run:
+            texts.setdefault(stars, []).append(text)
+        for stars, parts in texts.items():
+            key = (business_id, stars)
+            bucket = buckets.get(key)
+            if bucket is None:
+                bucket = buckets[key] = Counter()
+            tokens = tokenize(" ".join(parts))
+            bucket.update(map(shared, tokens, tokens))
     # Popping frees each Counter as soon as its copy is made.
     return [
         StarDocument(business_id=bid, stars=stars, term_counts=dict(buckets.pop((bid, stars))))

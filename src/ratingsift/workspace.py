@@ -26,6 +26,7 @@ import re
 import stat
 from contextlib import contextmanager
 from math import isfinite
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -280,16 +281,20 @@ class Workspace:
 
     def write_topics(self, profiles: Iterable[TopicProfile]) -> None:
         """The bytes ``csv.writer(delimiter="\\t")`` writes, one line per topic
-        built by one f-string, and one write per profile."""
+        built by one f-string, and one write per profile. A profile's terms
+        go through ``_tsv_field`` only when their joined text needs csv."""
         with _create(self.topics_path) as handle:
             handle.write("business_id\tstars\trank\tterm\ttfidf_weight\n")
             for profile in profiles:
-                if not profile.topics:  # no row, so csv never sees the id
+                topics = profile.topics
+                if not topics:  # no row, so csv never sees the id
                     continue
+                if _NEEDS_CSV("".join(map(itemgetter(0), topics))) is not None:
+                    topics = [(_tsv_field(term), weight) for term, weight in topics]
                 prefix = f"{_tsv_field(profile.business_id)}\t{profile.stars}\t"
                 handle.write("".join([
-                    f"{prefix}{rank}\t{_tsv_field(term)}\t{weight:.6f}\n"
-                    for rank, (term, weight) in enumerate(profile.topics, start=1)
+                    f"{prefix}{rank}\t{term}\t{weight:.6f}\n"
+                    for rank, (term, weight) in enumerate(topics, start=1)
                 ]))
 
     def write_cohort_scores(self, scores: CohortScores) -> None:

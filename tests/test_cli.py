@@ -1235,6 +1235,34 @@ def test_non_ascii_separators_change_only_reviews_jsonl(tmp_path, lexicon_file, 
     _assert_only_file_and_digest_differ(files, files_after, "reviews.jsonl")
 
 
+def test_interleaving_businesses_reviews_changes_no_byte(tmp_path, lexicon_file, capsys):
+    # Ingest writes each business's reviews together, businesses in the
+    # order of their first review. So the corpus's interleaved review lines
+    # and the same lines with each business's together, its own order and
+    # the order of first reviews kept, give byte-identical stdout and
+    # artifacts, reviews.jsonl included. Lines ingest skips (an unknown
+    # business, stars out of range) go last; they claim no place.
+    lines = _shuffle_corpus(random.Random(2424))
+    runs = {}
+    for line in lines["reviews"]:
+        obj = json.loads(line)
+        skipped = obj["business_id"] == "ghost" or obj["stars"] > 5
+        runs.setdefault(None if skipped else obj["business_id"], []).append(line)
+    skipped = runs.pop(None)
+    kept = [line for run in runs.values() for line in run]
+    grouped = {**lines, "reviews": kept + skipped}
+    assert grouped["reviews"] != lines["reviews"]
+    stdout, files = _shuffled_run(tmp_path / "data", lexicon_file, tmp_path / "ws", grouped,
+                                  capsys, compare=True)
+    stdout_after, files_after = _shuffled_run(
+        tmp_path / "data", lexicon_file, tmp_path / "ws2", lines, capsys, compare=True)
+    assert len(stdout) > 3 and stdout_after == stdout
+    assert files_after == files
+    fields = ("business_id", "stars", "text")
+    assert [json.loads(line) for line in files["reviews.jsonl"].splitlines()] == [
+        {name: obj[name] for name in fields} for obj in map(json.loads, kept)]
+
+
 class _FileAudit:
     """The paths a command opens for reading, opens for writing and removes,
     from the ``open`` and ``os.remove`` audit events (PEP 578). An audit hook
@@ -1321,6 +1349,38 @@ def test_each_command_opens_only_what_readme_lists(data_dir, lexicon_file, tmp_p
                 later = order[order.index(command) + 1:]
                 assert names["written"] == own | {"manifest.json"}, (run, step)
                 assert names["removed"] == {name for stage in later for name in STAGES[stage]}
+
+
+# A command that fails before its stage's first write: its exit code, the
+# stage run before it ("locked": score, then held locked by another
+# command), and flags changed or added to pipeline_steps.
+FAILED_BEFORE_WRITE = {
+    "compare unknown id": (1, "score", {"--b": "no_such_id"}),
+    "score k 0": (1, "score", {"--k": "0"}),
+    "rank taxonomy missing wifi": (1, "score", {"--taxonomy": "missing_wifi.cfg"}),
+    "score before rank": (2, "ingest", {}),
+    "compare locked": (2, "locked", {}),
+}
+
+
+@pytest.mark.parametrize("name", FAILED_BEFORE_WRITE)
+def test_failed_command_writes_and_removes_nothing(
+        name, data_dir, lexicon_file, tmp_path, file_audit):
+    code, before, flags = FAILED_BEFORE_WRITE[name]
+    ws = tmp_path / "ws"
+    run_pipeline(data_dir, lexicon_file, ws, through="score" if before == "locked" else before)
+    (data_dir / "missing_wifi.cfg").write_text(
+        DEFAULT_TAXONOMY.dumps().replace(" wifi\n", "\n"), encoding="utf-8")
+    argv = pipeline_steps(data_dir, lexicon_file, ws)[name.split()[0]]
+    for flag, value in flags.items():
+        if flag == "--taxonomy":
+            argv += [flag, str(data_dir / value)]
+        else:
+            argv[argv.index(flag) + 1] = value
+    with Workspace(ws).lock() if before == "locked" else contextlib.nullcontext():
+        exit_code, paths = file_audit(argv)
+    assert exit_code == code
+    assert paths["written"] == paths["removed"] == set()
 
 
 def _new_prefix_old_tail(new, old):

@@ -28,6 +28,7 @@ from ratingsift import (
     tokenize,
     top_terms,
 )
+from ratingsift import sentiment
 from ratingsift.sentiment import _TOKEN_RE
 from ratingsift.stopwords import STOPWORDS
 
@@ -128,6 +129,81 @@ def test_ascii_tokenize_matches_reference(text):
 def test_tokenize_tests_the_lowercased_text_for_ascii(text):
     assert not text.isascii()
     assert tokenize(text) == reference_tokenize(text)
+
+
+# Where one text's end meets the next one's start: a final sigma (lowercasing
+# looks past case-ignorable characters such as "'" for a cased letter), the
+# gate's two non-ASCII letters that lowercase to or through ASCII, a
+# combining mark, "_", and ASCII beside non-ASCII.
+_JOIN_EDGE_CHARS = "ΣσςİK\u212a\u0301_'.aZ9 é"
+_join_text = st.one_of(
+    st.text(),
+    st.text(st.characters(max_codepoint=127)),
+    st.text(st.sampled_from(_JOIN_EDGE_CHARS + _TOKEN_EDGE_CHARS), max_size=8),
+)
+
+
+@given(st.lists(_join_text, max_size=6))
+@example(["ΟΔΟΣ", "ΣΑ"])
+@example(["aΣ'", "'Σb", "Σ"])
+@example(["\u0301abc", "", "", "d\u0301ef"])
+@example(["snake_", "_case", "x"])
+@example(["plain ascii", "café", "\u212aelvin", "İstanbul"])
+@settings(max_examples=300, deadline=None)
+def test_tokenize_of_joined_texts_is_tokenize_of_each(texts):
+    # build_star_documents tokenizes a run's texts joined with spaces.
+    assert tokenize(" ".join(texts)) == [term for text in texts for term in tokenize(text)]
+
+
+def reference_star_documents(reviews, cohort_ids):
+    """``build_star_documents`` as first written: one tokenize call per review."""
+    buckets = {}
+    for review in reviews:
+        if review.business_id in cohort_ids:
+            key = (review.business_id, review.stars)
+            buckets.setdefault(key, Counter()).update(tokenize(review.text))
+    return [StarDocument(bid, stars, dict(buckets[bid, stars])) for bid, stars in sorted(buckets)]
+
+
+_review_texts = st.one_of(
+    st.text(st.sampled_from(_JOIN_EDGE_CHARS), max_size=6),
+    st.lists(st.sampled_from(["great", "pasta", "the", "rude", "wine", "café", "ΟΔΟΣ"]),
+             max_size=4).map(" ".join),
+)
+_reviews = st.lists(st.builds(
+    make_review, st.sampled_from(["b1", "b2", "b3"]), st.integers(1, 5), _review_texts,
+), max_size=20)
+
+
+@given(_reviews, st.data())
+@settings(max_examples=200, deadline=None)
+def test_star_documents_match_per_review_reference_in_any_order(reviews, data):
+    shuffled = data.draw(st.permutations(reviews))
+    cohort = {"b1", "b2"}
+    assert build_star_documents(shuffled, cohort) == reference_star_documents(reviews, cohort)
+
+
+def test_grouped_reviews_tokenize_once_per_star_document(monkeypatch):
+    calls = []
+
+    def counting_tokenize(text):
+        calls.append(text)
+        return tokenize(text)
+
+    reviews = [
+        make_review("b1", 5, "great pasta"),
+        make_review("b1", 1, "rude waiter"),
+        make_review("b1", 5, "great wine"),
+        make_review("b1", 5, "the the"),
+        make_review("b2", 5, "fine pasta"),
+        make_review("b2", 5, "cold pasta"),
+        make_review("b3", 2, "outside the cohort"),
+        make_review("b3", 2, "never counted"),
+    ]
+    monkeypatch.setattr(sentiment, "tokenize", counting_tokenize)
+    docs = build_star_documents(reviews, {"b1", "b2"})
+    assert len(calls) == len(docs) == 3
+    assert docs == reference_star_documents(reviews, {"b1", "b2"})
 
 
 class TestBuildStarDocuments:
