@@ -19,7 +19,6 @@ file.
 import argparse
 import json
 import sys
-from itertools import chain
 
 from . import __version__
 from .disparity import build_disparity_report, render_text
@@ -94,14 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_ingest(args, workspace) -> str:
     businesses, business_counters = load_businesses(args.business)
     reviews, review_counters = load_reviews(args.reviews, known_business_ids=businesses.keys())
-    # Each business's reviews together, businesses in the order of their
-    # first review, so score tokenizes each star document once.
-    by_business: dict[str, list] = {}
-    for review in reviews:
-        by_business.setdefault(review.business_id, []).append(review)
     workspace.begin_stage("ingest")
     workspace.write_businesses(businesses.values())
-    workspace.write_reviews(chain.from_iterable(by_business.values()))
+    workspace.write_reviews(reviews)
     summary = {
         "businesses": business_counters.as_dict(),
         "reviews": review_counters.as_dict(),

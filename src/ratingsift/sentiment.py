@@ -11,7 +11,7 @@ import io
 import math
 import re
 from collections import Counter
-from itertools import compress, filterfalse, groupby, repeat
+from itertools import compress, filterfalse, repeat
 from operator import ge, itemgetter, mul, neg
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -62,15 +62,14 @@ def build_star_documents(
     reviews, they just carry no scoreable terms. Output is sorted by
     (business_id, stars) so the corpus is reproducible.
 
-    Reviews are taken a run at a time, a run being consecutive reviews of
-    one business: each run's texts at one star level are joined with spaces
-    and tokenized once. That gives the terms of tokenizing each text alone,
-    in the same order: no term spans a space, lowercasing's one context rule
-    (final sigma) stops at a space, the joined text is ASCII exactly when
-    every text is, and both of ``tokenize``'s paths give the same terms.
-    Counts add up across runs, so reviews in any order give the same
-    documents. Ingest writes each business's reviews together, so over its
-    ``reviews.jsonl`` each document costs one ``tokenize`` call.
+    Each document's ASCII review texts are joined with spaces and tokenized
+    in one call, and its other texts in a second, so one non-ASCII review
+    does not send the rest through ``tokenize``'s regular expression. A
+    joined text gives the terms of tokenizing each text alone: no term
+    spans a space, lowercasing's one context rule (final sigma) stops at a
+    space, the joined text is ASCII exactly when every text is, and both of
+    ``tokenize``'s paths give the same terms. So reviews in any order give
+    the same documents.
 
     Every document holds one string per distinct term, shared with the
     other documents, so a corpus costs its vocabulary once rather than once
@@ -84,25 +83,25 @@ def build_star_documents(
     # would keep every term it ever saw.
     vocabulary: dict[str, str] = {}
     shared = vocabulary.setdefault
-    buckets: dict[tuple[str, int], Counter] = {}
-    for business_id, run in groupby(reviews, itemgetter(0)):
-        if business_id not in cohort:
-            continue
-        texts: dict[int, list[str]] = {}
-        for _, stars, text in run:
-            texts.setdefault(stars, []).append(text)
-        for stars, parts in texts.items():
+    # (business_id, stars) -> (the ASCII texts, the other texts)
+    texts: dict[tuple[str, int], tuple[list[str], list[str]]] = {}
+    for business_id, stars, text in reviews:
+        if business_id in cohort:
             key = (business_id, stars)
-            bucket = buckets.get(key)
-            if bucket is None:
-                bucket = buckets[key] = Counter()
-            tokens = tokenize(" ".join(parts))
-            bucket.update(map(shared, tokens, tokens))
-    # Popping frees each Counter as soon as its copy is made.
-    return [
-        StarDocument(business_id=bid, stars=stars, term_counts=dict(buckets.pop((bid, stars))))
-        for bid, stars in sorted(buckets)
-    ]
+            parts = texts.get(key)
+            if parts is None:
+                parts = texts[key] = ([], [])
+            parts[not text.isascii()].append(text)
+    documents = []
+    for key in sorted(texts):
+        counts: Counter = Counter()
+        # Popping frees each document's lists once its texts are counted.
+        for part in texts.pop(key):
+            if part:
+                tokens = tokenize(" ".join(part))
+                counts.update(map(shared, tokens, tokens))
+        documents.append(StarDocument(*key, term_counts=dict(counts)))
+    return documents
 
 
 class _Idf(dict):

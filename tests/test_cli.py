@@ -1235,34 +1235,6 @@ def test_non_ascii_separators_change_only_reviews_jsonl(tmp_path, lexicon_file, 
     _assert_only_file_and_digest_differ(files, files_after, "reviews.jsonl")
 
 
-def test_interleaving_businesses_reviews_changes_no_byte(tmp_path, lexicon_file, capsys):
-    # Ingest writes each business's reviews together, businesses in the
-    # order of their first review. So the corpus's interleaved review lines
-    # and the same lines with each business's together, its own order and
-    # the order of first reviews kept, give byte-identical stdout and
-    # artifacts, reviews.jsonl included. Lines ingest skips (an unknown
-    # business, stars out of range) go last; they claim no place.
-    lines = _shuffle_corpus(random.Random(2424))
-    runs = {}
-    for line in lines["reviews"]:
-        obj = json.loads(line)
-        skipped = obj["business_id"] == "ghost" or obj["stars"] > 5
-        runs.setdefault(None if skipped else obj["business_id"], []).append(line)
-    skipped = runs.pop(None)
-    kept = [line for run in runs.values() for line in run]
-    grouped = {**lines, "reviews": kept + skipped}
-    assert grouped["reviews"] != lines["reviews"]
-    stdout, files = _shuffled_run(tmp_path / "data", lexicon_file, tmp_path / "ws", grouped,
-                                  capsys, compare=True)
-    stdout_after, files_after = _shuffled_run(
-        tmp_path / "data", lexicon_file, tmp_path / "ws2", lines, capsys, compare=True)
-    assert len(stdout) > 3 and stdout_after == stdout
-    assert files_after == files
-    fields = ("business_id", "stars", "text")
-    assert [json.loads(line) for line in files["reviews.jsonl"].splitlines()] == [
-        {name: obj[name] for name in fields} for obj in map(json.loads, kept)]
-
-
 class _FileAudit:
     """The paths a command opens for reading, opens for writing and removes,
     from the ``open`` and ``os.remove`` audit events (PEP 578). An audit hook

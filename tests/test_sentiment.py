@@ -151,7 +151,7 @@ _join_text = st.one_of(
 @example(["plain ascii", "café", "\u212aelvin", "İstanbul"])
 @settings(max_examples=300, deadline=None)
 def test_tokenize_of_joined_texts_is_tokenize_of_each(texts):
-    # build_star_documents tokenizes a run's texts joined with spaces.
+    # build_star_documents tokenizes a document's texts joined with spaces.
     assert tokenize(" ".join(texts)) == [term for text in texts for term in tokenize(text)]
 
 
@@ -183,7 +183,9 @@ def test_star_documents_match_per_review_reference_in_any_order(reviews, data):
     assert build_star_documents(shuffled, cohort) == reference_star_documents(reviews, cohort)
 
 
-def test_grouped_reviews_tokenize_once_per_star_document(monkeypatch):
+def test_star_document_texts_tokenize_in_one_call_per_script(monkeypatch):
+    # Interleaved businesses and stars: each document's ASCII texts are
+    # tokenized in one call, and a document's non-ASCII texts in one more.
     calls = []
 
     def counting_tokenize(text):
@@ -192,17 +194,23 @@ def test_grouped_reviews_tokenize_once_per_star_document(monkeypatch):
 
     reviews = [
         make_review("b1", 5, "great pasta"),
-        make_review("b1", 1, "rude waiter"),
-        make_review("b1", 5, "great wine"),
-        make_review("b1", 5, "the the"),
         make_review("b2", 5, "fine pasta"),
-        make_review("b2", 5, "cold pasta"),
+        make_review("b1", 1, "rude waiter"),
         make_review("b3", 2, "outside the cohort"),
+        make_review("b1", 5, "great wine café"),
+        make_review("b2", 5, "cold pasta"),
+        make_review("b1", 5, "the the"),
+        make_review("b1", 5, "’tis fine"),
         make_review("b3", 2, "never counted"),
     ]
     monkeypatch.setattr(sentiment, "tokenize", counting_tokenize)
     docs = build_star_documents(reviews, {"b1", "b2"})
-    assert len(calls) == len(docs) == 3
+    assert calls == [
+        "rude waiter",
+        "great pasta the the",
+        "great wine café ’tis fine",
+        "fine pasta cold pasta",
+    ]
     assert docs == reference_star_documents(reviews, {"b1", "b2"})
 
 
