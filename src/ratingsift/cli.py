@@ -137,8 +137,11 @@ def cmd_score(args, workspace) -> str:
         raise IngestError("--k must be at least 1")
     lexicon = SentimentLexicon.load(args.lexicon)
     cohort_ids = frozenset(e.business_id for e in workspace.read_ranked())
-    # Unnamed, so the review list is freed once the documents are built.
-    documents = build_star_documents(workspace.read_reviews(cohort_ids), cohort_ids)
+    # Popped off the list one at a time, so each record is freed once its
+    # text is gathered, and the text once its document is tokenized. The
+    # reversed order does not change the documents.
+    reviews = workspace.read_reviews(cohort_ids)
+    documents = build_star_documents((reviews.pop() for _ in range(len(reviews))), cohort_ids)
     if not documents:
         raise IngestError(
             f"none of the {len(cohort_ids)} ranked restaurants has a review; "

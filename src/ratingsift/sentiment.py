@@ -73,9 +73,10 @@ def build_star_documents(
 
     Every document holds one string per distinct term, shared with the
     other documents, so a corpus costs its vocabulary once rather than once
-    per document. No document refers to a review, so a caller that passes
-    the review list without naming it has it freed once the documents are
-    built.
+    per document. No document refers to a review, and no review is kept
+    past its own step. So when ``reviews`` is a one-shot iterator holding
+    the only reference to each review, a review is freed once its text is
+    gathered, and the text once its document is tokenized.
     """
     cohort = set(cohort_ids)
     # Maps each term to its first string. Call-scoped, not sys.intern: an

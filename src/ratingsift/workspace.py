@@ -199,7 +199,9 @@ class Workspace:
     # instead of writing a line json.dumps would not. A reader hashes the
     # whole file as it streams it and checks the digest once the last line
     # is read, so it may skip the lines of businesses it does not want and
-    # still catch any edit to the file.
+    # still catch any edit to the file. A filtered read puts the caller's own
+    # id object into each record it keeps, so the records of one business
+    # share one id string rather than one copy each.
 
     def write_businesses(self, records: Iterable[BusinessRecord]) -> None:
         with _create(self.businesses_path) as handle:
@@ -238,14 +240,18 @@ class Workspace:
         # an edit put after it. A record is built under _decoding too, so a
         # line with fields another version wrote (TypeError) is damage.
         wanted = None if business_ids is None else {
-            json.dumps(business_id).encode() for business_id in business_ids
+            json.dumps(business_id).encode(): business_id for business_id in business_ids
         }
         records = []
         with self._reading(path) as (handle, digest):
             for raw in handle:
                 digest.update(raw)
-                if wanted is None or _id_token(raw) in wanted:
+                if wanted is None:
                     records.append(build(_raw_decode(raw.decode("utf-8"))[0]))
+                elif (token := _id_token(raw)) in wanted:
+                    obj = _raw_decode(raw.decode("utf-8"))[0]
+                    obj["business_id"] = wanted[token]
+                    records.append(build(obj))
         return records
 
     # rank artifacts ----------------------------------------------------
@@ -310,15 +316,18 @@ class Workspace:
 
     def write_corpus_stats(self, stats: CorpusStats) -> None:
         """The bytes ``json.dump(indent=2, sort_keys=True)`` writes, streamed a
-        term at a time: json.dump with an indent encodes in pure Python."""
+        term at a time: json.dump with an indent encodes in pure Python. The
+        terms are sorted alone and each count looked up, so no tuple is built
+        per term."""
+        df = stats.df
         with _create(self.corpus_stats_path) as handle:
-            terms = iter(sorted(stats.df.items()))
+            terms = iter(sorted(df))
             first = next(terms, None)
             if first is None:
                 handle.write('{\n  "df": {},\n')
             else:
-                handle.write(f'{{\n  "df": {{\n    {_json_key(first[0])}: {first[1]}')
-                handle.writelines(f",\n    {_json_key(term)}: {count}" for term, count in terms)
+                handle.write(f'{{\n  "df": {{\n    {_json_key(first)}: {df[first]}')
+                handle.writelines(f",\n    {_json_key(term)}: {df[term]}" for term in terms)
                 handle.write("\n  },\n")
             handle.write(f'  "n_docs": {stats.n_docs}\n}}\n')
 

@@ -180,7 +180,10 @@ _reviews = st.lists(st.builds(
 def test_star_documents_match_per_review_reference_in_any_order(reviews, data):
     shuffled = data.draw(st.permutations(reviews))
     cohort = {"b1", "b2"}
-    assert build_star_documents(shuffled, cohort) == reference_star_documents(reviews, cohort)
+    expected = reference_star_documents(reviews, cohort)
+    assert build_star_documents(shuffled, cohort) == expected
+    # As score passes them: popped off the list one at a time, in reverse.
+    assert build_star_documents((shuffled.pop() for _ in range(len(shuffled))), cohort) == expected
 
 
 def test_star_document_texts_tokenize_in_one_call_per_script(monkeypatch):

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 from contextlib import contextmanager
 
 import pytest
@@ -322,6 +323,12 @@ def test_filtered_read_is_the_full_read_filtered(extra_ids, data):
             (business_id, record) for business_id, record in ws.read_businesses().items()
             if business_id in wanted
         ]
+        # A filtered read's records hold the caller's id objects, not copies;
+        # fresh copies, so interning cannot make them the same object.
+        passed = {business_id: business_id
+                  for business_id in ("".join(list(i)) for i in wanted)}
+        for record in [*ws.read_reviews(passed), *ws.read_businesses(passed).values()]:
+            assert record.business_id is passed[record.business_id]
 
 
 # Characters csv or json must quote or escape, and a few they pass through.
@@ -451,6 +458,22 @@ def test_corpus_stats_are_what_json_dump_writes(df, data):
         ws = Workspace(root)
         ws.write_corpus_stats(CorpusStats(n_docs=n_docs, df=df))
         assert ws.corpus_stats_path.read_bytes() == expected.getvalue().encode("utf-8")
+
+
+def test_corpus_stats_writer_holds_no_tuple_per_term():
+    # The writer streams the sorted terms; sorting the df's items would
+    # hold a 64-byte tuple per term until the last line is written.
+    terms = 50_000
+    stats = CorpusStats(n_docs=9, df={f"term{i}": 1 + i % 9 for i in range(terms)})
+    with tempfile.TemporaryDirectory() as root:
+        ws = Workspace(root)
+        tracemalloc.start()
+        try:
+            ws.write_corpus_stats(stats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 32 * terms, f"peak {peak / terms:.1f} B per term"
 
 
 class TestDeterministicWriters:
