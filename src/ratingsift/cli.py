@@ -4,9 +4,13 @@ The four subcommands form a staged pipeline over one workspace directory.
 ``main`` is the one place a command runs: it opens the workspace, creates
 the directory for ingest only, holds the workspace lock (an ``flock`` the
 kernel drops however the process ends) while the command runs, and prints
-the text the command returns once the lock is released.
+the text the command returns once the lock is released. A stage holds the
+lock exclusive; compare, which writes nothing, holds it shared, so
+compares run together.
 Each ``cmd_*(args, workspace)`` checks its stage before its flags and reads
-only the workspace files its output depends on.
+only the workspace files its output depends on. Of reviews.jsonl, compare
+reads only the pair's lines, found and checked through the index ingest
+writes beside it (``Workspace.read_indexed_reviews``); score reads it whole.
 Score keeps the lexicon it used in the workspace, so compare reads no file
 outside it. Exit codes: 0 on success, 1 on an input problem (missing file, bad
 record stream, unknown business id, bad flag, a failed workspace write), 2
@@ -175,7 +179,7 @@ def cmd_compare(args, workspace) -> str:
         if business_id not in businesses:
             raise IngestError(f"unknown business id: {business_id}")
     stats = workspace.read_corpus_stats()
-    documents = build_star_documents(workspace.read_reviews(pair_ids), pair_ids)
+    documents = build_star_documents(workspace.read_indexed_reviews(pair_ids), pair_ids)
     # business id -> stars -> sentiment score; --a equal to --b shares one map.
     scores: dict[str, dict[int, int]] = {business_id: {} for business_id in pair_ids}
     for profile in build_topic_profiles(documents, stats, k=score["k"], lexicon=lexicon):
@@ -202,7 +206,8 @@ def main(argv=None) -> int:
         if args.command == "ingest":
             # The only command that creates a workspace; the others need ingest's.
             workspace.root.mkdir(parents=True, exist_ok=True)
-        with workspace.lock():
+        # Compare writes nothing, so compares share the lock; a stage excludes all.
+        with workspace.lock(shared=args.command == "compare"):
             output = args.run(args, workspace)
         sys.stdout.write(output)
         return 0

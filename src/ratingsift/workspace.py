@@ -5,10 +5,14 @@ manifest entry holding its counters, its settings and the SHA-256 of each
 artifact. Every read of an artifact goes through ``_reading``, so a command
 refuses a file it reads that is missing, not a regular file, damaged or
 changed since the stage that wrote it, and the files it does not read cannot
-stop it. Every open of a workspace file, to read or to write, goes through
-``_open_regular``, which refuses anything but a regular file and never
-waits on a FIFO. The lock is an ``flock`` on the directory, so the
-workspace holds nothing else. All writers are deterministic: fixed key
+stop it. Compare reads ``reviews.jsonl`` through its index, ``reviews.idx``:
+the index is read through ``_reading``, and of the record file only the
+pair's lines, each business's checked against the digest the index holds
+(see ``read_indexed_reviews``). Every open of a workspace file, to read or
+to write, goes through ``_open_regular``, which refuses anything but a
+regular file and never waits on a FIFO. The lock is an ``flock`` on the
+directory, exclusive for a stage and shared for compare, so the workspace
+holds nothing else. All writers are deterministic: fixed key
 order, fixed six-decimal formatting for rationals, "\n" line endings, and
 no timestamps, so identical inputs produce byte-identical files. Each writer
 overwrites its file in place and cuts it to length once done (see
@@ -25,6 +29,7 @@ import os
 import re
 import stat
 from contextlib import contextmanager
+from itertools import groupby
 from math import isfinite
 from operator import itemgetter
 from pathlib import Path
@@ -37,7 +42,7 @@ from .taxonomy import FeatureTaxonomy, RankEntry
 # Each stage in pipeline order, with the artifacts it writes. Beginning a
 # stage deletes the artifacts of every later stage.
 STAGES = {
-    "ingest": ("businesses.jsonl", "reviews.jsonl"),
+    "ingest": ("businesses.jsonl", "reviews.jsonl", "reviews.idx"),
     "rank": ("taxonomy.cfg", "ranked.csv", "feature_frequency.csv"),
     "score": ("topics.tsv", "cohort_scores.csv", "corpus_stats.json", "lexicon.tsv"),
 }
@@ -76,6 +81,7 @@ class Workspace:
 
     businesses_path = _artifact("businesses.jsonl")
     reviews_path = _artifact("reviews.jsonl")
+    review_index_path = _artifact("reviews.idx")
     taxonomy_path = _artifact("taxonomy.cfg")
     ranked_path = _artifact("ranked.csv")
     frequency_path = _artifact("feature_frequency.csv")
@@ -88,10 +94,12 @@ class Workspace:
     # locking -----------------------------------------------------------
 
     @contextmanager
-    def lock(self):
-        """Advisory per-workspace lock; one command at a time. An ``flock``
-        on the directory itself (POSIX), which the kernel releases however
-        the process ends. The directory must exist: locking never creates it."""
+    def lock(self, shared=False):
+        """Advisory per-workspace lock: an ``flock`` on the directory itself
+        (POSIX), which the kernel releases however the process ends. A stage
+        takes it exclusive; a command that writes nothing may take it
+        ``shared``, so such commands run together while a stage excludes
+        them all. The directory must exist: locking never creates it."""
         try:
             fd = os.open(self.root, os.O_RDONLY | os.O_DIRECTORY)
         except FileNotFoundError:
@@ -100,7 +108,7 @@ class Workspace:
             ) from None
         try:
             try:
-                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                fcntl.flock(fd, (fcntl.LOCK_SH if shared else fcntl.LOCK_EX) | fcntl.LOCK_NB)
             except BlockingIOError:
                 raise WorkspaceLockedError(
                     f"workspace {self.root} is locked by another command"
@@ -173,19 +181,26 @@ class Workspace:
         the digest recorded by the stage that wrote the file."""
         stage = _WRITER[path.name]
         expected = self.require_stage(stage)[stage]["files"][path.name]
-        try:
-            handle = open(path, "rb", opener=_open_regular)
-        except FileNotFoundError:
-            raise StaleWorkspaceError(
-                f"workspace {self.root} is missing {path.name}; re-run {stage}"
-            ) from None
         digest = hashlib.sha256()
-        with handle, _decoding(path):
+        with self._open_artifact(path) as handle, _decoding(path):
             yield handle, digest
         if digest.hexdigest() != expected:
+            raise self._changed(path)
+
+    def _open_artifact(self, path: Path):
+        """The artifact opened for reading in binary; a missing one is stale."""
+        try:
+            return open(path, "rb", opener=_open_regular)
+        except FileNotFoundError:
             raise StaleWorkspaceError(
-                f"workspace {self.root}: {path.name} changed since {stage}; re-run {stage}"
-            )
+                f"workspace {self.root} is missing {path.name}; re-run {_WRITER[path.name]}"
+            ) from None
+
+    def _changed(self, path: Path) -> StaleWorkspaceError:
+        stage = _WRITER[path.name]
+        return StaleWorkspaceError(
+            f"workspace {self.root}: {path.name} changed since {stage}; re-run {stage}"
+        )
 
     # record files ------------------------------------------------------
     #
@@ -201,7 +216,18 @@ class Workspace:
     # is read, so it may skip the lines of businesses it does not want and
     # still catch any edit to the file. A filtered read puts the caller's own
     # id object into each record it keeps, so the records of one business
-    # share one id string rather than one copy each.
+    # share one id string rather than one copy each. Every line is ASCII, so
+    # its length in characters is its length in bytes.
+    #
+    # reviews.idx indexes reviews.jsonl by business. Its first line is
+    # "reviews.jsonl <byte size>". Then comes one line per business, in the
+    # order of its first review in the file, with three fields separated by
+    # spaces: its id as the record lines encode it (_id_token), the SHA-256
+    # of its lines in file order, and the offset and length of each run of
+    # its adjacent lines, joined by commas ('"b1" <hex> 0,980,4410,490'). An
+    # encoded id starts with '"' and holds no newline, and its first
+    # unescaped '"' ends it, so "\n" + id + " " is found only at the start
+    # of that business's line.
 
     def write_businesses(self, records: Iterable[BusinessRecord]) -> None:
         with _create(self.businesses_path) as handle:
@@ -220,18 +246,79 @@ class Workspace:
         return {record.business_id: record for record in records}
 
     def write_reviews(self, reviews: Iterable[ReviewRecord]) -> None:
+        """Write reviews.jsonl, a run of adjacent lines of one business at a
+        time, then its index, reviews.idx."""
+        index = {}  # id token -> [SHA-256 of its lines, [offset, length, ...] of its runs]
+        size = 0
         with _create(self.reviews_path) as handle:
-            for business_id, stars, text in reviews:
-                if type(stars) is not int:
-                    raise TypeError(f"review stars are not an int: {stars!r}")
-                handle.write(
-                    f'{{"business_id":{_json_key(business_id)},'
-                    f'"stars":{stars!r},"text":{_json_key(text)}}}\n'
-                )
+            for business_id, run in groupby(reviews, itemgetter(0)):
+                token = _json_key(business_id)
+                lines = []
+                for _, stars, text in run:
+                    if type(stars) is not int:
+                        raise TypeError(f"review stars are not an int: {stars!r}")
+                    lines.append(
+                        f'{{"business_id":{token},"stars":{stars!r},"text":{_json_key(text)}}}\n'
+                    )
+                handle.write(block := "".join(lines))
+                if (entry := index.get(token)) is None:
+                    entry = index[token] = [hashlib.sha256(), []]
+                entry[0].update(block.encode())
+                entry[1] += (size, len(block))
+                size += len(block)
+        with _create(self.review_index_path) as handle:
+            handle.write("".join([f"reviews.jsonl {size}\n", *(
+                f"{token} {digest.hexdigest()} {','.join(map(str, runs))}\n"
+                for token, (digest, runs) in index.items()
+            )]))
 
     def read_reviews(self, business_ids=None) -> list[ReviewRecord]:
         """The reviews in file order; only those of ``business_ids`` when given."""
         return self._read_records(self.reviews_path, _review_record, business_ids)
+
+    def read_indexed_reviews(self, business_ids) -> list[ReviewRecord]:
+        """What ``read_reviews(business_ids)`` gives, reading of reviews.jsonl
+        only the lines of ``business_ids``, at the offsets reviews.idx holds.
+        The index is hashed whole and checked against its manifest digest.
+        Then reviews.jsonl must still have the byte size the index records,
+        and each wanted business's lines the SHA-256 it records. So an edit
+        that changes the file's length or any line read is caught, and an
+        edit of the same length to other businesses' lines is not."""
+        index_path = self.review_index_path
+        with self._reading(index_path) as (handle, digest):
+            digest.update(index := handle.read())
+        wanted = []  # (business id, hex SHA-256 of its lines, its (offset, length) runs)
+        with _decoding(index_path):
+            size = int(index[len(b"reviews.jsonl "):index.index(b"\n")])
+            for business_id in business_ids:
+                key = b"\n" + _json_key(business_id).encode() + b" "
+                start = index.find(key)
+                if start < 0:  # no review
+                    continue
+                start += len(key)
+                expected, spans = index[start:index.index(b"\n", start)].decode().split(" ")
+                spans = [*map(int, spans.split(","))]
+                wanted.append((business_id, expected, zip(spans[::2], spans[1::2])))
+        runs = []  # (offset, bytes, business id) of each run read
+        with self._open_artifact(self.reviews_path) as reviews:
+            fd = reviews.fileno()
+            if os.fstat(fd).st_size != size:
+                raise self._changed(self.reviews_path)
+            for business_id, expected, spans in wanted:
+                digest = hashlib.sha256()
+                for offset, length in spans:
+                    digest.update(data := os.pread(fd, length, offset))
+                    runs.append((offset, data, business_id))
+                if digest.hexdigest() != expected:
+                    raise self._changed(self.reviews_path)
+        records = []
+        with _decoding(self.reviews_path):
+            for _, data, business_id in sorted(runs, key=itemgetter(0)):
+                for raw in data.splitlines():
+                    obj = _raw_decode(raw.decode("utf-8"))[0]
+                    obj["business_id"] = business_id
+                    records.append(_review_record(obj))
+        return records
 
     def _read_records(self, path: Path, build, business_ids) -> list:
         # Lines are compared by the writer's own encoding of the id, so a

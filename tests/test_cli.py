@@ -63,9 +63,11 @@ def data_dir(tmp_path):
 
 # Every write of each stage, with the path property of the file it writes:
 # the stage's artifacts, and for rank also its two manifest writes.
+# write_reviews writes reviews.jsonl and then its index.
 WRITES = [
     ("ingest", "write_businesses", "businesses_path"),
     ("ingest", "write_reviews", "reviews_path"),
+    ("ingest", "write_reviews", "review_index_path"),
     ("rank", "begin_stage", "manifest_path"),
     ("rank", "write_taxonomy", "taxonomy_path"),
     ("rank", "write_ranked", "ranked_path"),
@@ -559,6 +561,24 @@ class TestExitCodes:
         # Compare reads score's k as its topic count: an int, not a bool, of at least 1.
         *[(lambda ws, k=k: _set_k(ws / "manifest.json", k), "compare", "manifest.json", "ingest")
           for k in ["5", None, 1.5, 0, -1, True]],
+        # Compare reads reviews.jsonl through reviews.idx: the index is hashed
+        # whole, the record file's size and the pair's lines are checked.
+        (lambda ws: _edit_text_in_place(ws / "reviews.jsonl", "ref_a"),
+         "compare", "reviews.jsonl", "ingest"),
+        (lambda ws: _edit_text_in_place(ws / "reviews.jsonl", "ref_b", last=True),
+         "compare", "reviews.jsonl", "ingest"),
+        (lambda ws: _delete_last_row(ws / "reviews.jsonl"), "compare", "reviews.jsonl", "ingest"),
+        (lambda ws: _append(ws / "reviews.jsonl", '{"business_id":"other1","stars":5,"text":"x"}'),
+         "compare", "reviews.jsonl", "ingest"),
+        (lambda ws: _flip_index_digest(ws / "reviews.idx", "other2"),
+         "compare", "reviews.idx", "ingest"),
+        (lambda ws: _replace(ws / "reviews.idx", "reviews.jsonl ", "reviews.jsonl 1"),
+         "compare", "reviews.idx", "ingest"),
+        (lambda ws: _append(ws / "reviews.idx", '"ghost" 0 0,1'),
+         "compare", "reviews.idx", "ingest"),
+        (lambda ws: _set_file_digest(ws / "manifest.json", "reviews.idx", "0" * 64),
+         "compare", "reviews.idx", "ingest"),
+        (lambda ws: (ws / "reviews.idx").unlink(), "compare", "reviews.idx", "ingest"),
     ], ids=["short_ranked_row", "stats_without_df", "stats_deleted", "older_manifest",
             "stats_df_negative", "stats_df_over_n_docs", "manifest_without_digests",
             "manifest_files_as_list", "ranked_row_deleted", "stats_every_df_n",
@@ -571,7 +591,11 @@ class TestExitCodes:
             "businesses_deleted_rank", "ranked_deleted_score", "reviews_deleted_score",
             "taxonomy_deleted_compare", "lexicon_deleted_compare",
             "businesses_deleted_compare", "reviews_deleted_compare",
-            "k_string", "k_null", "k_float", "k_zero", "k_negative", "k_true"])
+            "k_string", "k_null", "k_float", "k_zero", "k_negative", "k_true",
+            "pair_review_same_length_edit", "pair_last_review_same_length_edit",
+            "reviews_truncated", "reviews_appended", "review_index_digest_edited",
+            "review_index_size_edited", "review_index_line_added",
+            "review_index_manifest_digest_edited", "review_index_deleted_compare"])
     def test_damaged_workspace_names_the_file(
         self, data_dir, lexicon_file, tmp_path, capsys, damage, command, named, rerun
     ):
@@ -585,7 +609,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("kind", ["fifo", "directory", "symlink_to_directory"])
     @pytest.mark.parametrize("name,command", [
-        ("reviews.jsonl", "score"), ("reviews.jsonl", "compare"),
+        ("reviews.jsonl", "score"), ("reviews.jsonl", "compare"), ("reviews.idx", "compare"),
         ("businesses.jsonl", "rank"),
         ("manifest.json", "rank"), ("manifest.json", "compare"),
         *WRITTEN, ("manifest.json", "ingest"),
@@ -683,7 +707,8 @@ class TestExitCodes:
         assert "taxonomy.cfg" in err and "re-run rank" in err
 
     @pytest.mark.parametrize("name,command", [
-        ("reviews.jsonl", "rank"), ("feature_frequency.csv", "score"),
+        ("reviews.jsonl", "rank"), ("reviews.idx", "rank"), ("reviews.idx", "score"),
+        ("feature_frequency.csv", "score"),
         ("topics.tsv", "compare"), ("cohort_scores.csv", "compare"),
         ("ranked.csv", "compare"), ("feature_frequency.csv", "compare"),
     ])
@@ -727,8 +752,43 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert name in err and "re-run ingest" in err
 
-    @pytest.mark.parametrize("stage,writer,path", WRITES,
-                             ids=[f"{stage}-{writer}" for stage, writer, _ in WRITES])
+    @pytest.mark.parametrize("business_id", ["other1", "other2"])
+    def test_same_length_edit_outside_the_pair(
+        self, data_dir, lexicon_file, tmp_path, capsys, business_id
+    ):
+        # Compare reads, of reviews.jsonl, only the pair's lines, which the
+        # index places and hashes, and the file's size. An edit of the same
+        # length to another business's line leaves its exit code and stdout
+        # as they were; score, which reads the whole file, catches it.
+        ws = tmp_path / "ws"
+        run_pipeline(data_dir, lexicon_file, ws, through="score")
+        steps = pipeline_steps(data_dir, lexicon_file, ws)
+        capsys.readouterr()
+        assert main(steps["compare"]) == 0
+        before = capsys.readouterr().out
+        size = (ws / "reviews.jsonl").stat().st_size
+        _edit_text_in_place(ws / "reviews.jsonl", business_id)
+        assert (ws / "reviews.jsonl").stat().st_size == size
+        assert main(steps["compare"]) == 0
+        assert capsys.readouterr().out == before
+        assert main(steps["score"]) == 2
+        assert "reviews.jsonl changed since ingest; re-run ingest" in capsys.readouterr().err
+
+    def test_compares_share_the_lock(self, data_dir, lexicon_file, tmp_path, capsys):
+        # Compare writes nothing, so it takes the lock shared: it runs while
+        # another compare holds it, and a stage still cannot.
+        ws = tmp_path / "ws"
+        run_pipeline(data_dir, lexicon_file, ws, through="score")
+        steps = pipeline_steps(data_dir, lexicon_file, ws)
+        with Workspace(ws).lock(shared=True):
+            assert main(steps["compare"]) == 0
+            assert main(steps["rank"]) == 2
+        assert "locked by another command" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage,writer,path", WRITES, ids=[
+        f"{stage}-{writer}" + ("-index" if path == "review_index_path" else "")
+        for stage, writer, path in WRITES
+    ])
     def test_interrupted_write_is_never_claimed(
         self, data_dir, lexicon_file, tmp_path, monkeypatch, stage, writer, path
     ):
@@ -880,10 +940,16 @@ class TestDeterminism:
             digests[f"{name} stdout"] = _sha256(capsys.readouterr().out.encode("utf-8"))
         for name in GOLDEN_FILES:
             digests[name] = _sha256((ws / name).read_bytes())
+        # The manifest of the versions before reviews.idx: it differs only by
+        # the index's digest.
+        manifest = json.loads((ws / "manifest.json").read_bytes())
+        del manifest["stages"]["ingest"]["files"]["reviews.idx"]
+        digests["manifest.json without reviews.idx"] = _sha256(
+            (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
         assert digests == GOLDEN
 
 
-GOLDEN_FILES = ("businesses.jsonl", "reviews.jsonl", "taxonomy.cfg", "ranked.csv",
+GOLDEN_FILES = ("businesses.jsonl", "reviews.jsonl", "reviews.idx", "taxonomy.cfg", "ranked.csv",
                 "feature_frequency.csv", "topics.tsv", "cohort_scores.csv", "corpus_stats.json",
                 "lexicon.tsv", "manifest.json")
 GOLDEN = {
@@ -901,7 +967,10 @@ GOLDEN = {
     "cohort_scores.csv": "3b090a03b27e1b068145a39e648518ec7ac332b03414cfa2855f8f9248e896ff",
     "corpus_stats.json": "7602a166f88a4198c5a636af54ec6dfddff34a142846d95102fbfba7afc9cc97",
     "lexicon.tsv": "8b88c90b82a46511ee142b85f02241418362c8c11cfd710cc4f8b9a5fe0745c8",
-    "manifest.json": "ae292aa8c532eadba399a52f7866fae653831b7c5bec3a46c424d1e2a0dcddf6",
+    "reviews.idx": "78bab66e4ff6454440712d2155f4d3e87d21796077285e65a0b189b5c24a632b",
+    "manifest.json": "a948db7589bf698ebfc33618cf46141a5b0dd486895e4508a61095ed0e019386",
+    "manifest.json without reviews.idx":
+        "ae292aa8c532eadba399a52f7866fae653831b7c5bec3a46c424d1e2a0dcddf6",
 }
 
 
@@ -1144,16 +1213,22 @@ def test_shuffled_input_lines_change_only_their_record_file(
     stdout_after, files_after = _shuffled_run(
         tmp_path / "data", lexicon_file, tmp_path / "ws2", lines, capsys)
     assert stdout_after == stdout
-    _assert_only_file_and_digest_differ(files, files_after, f"{shuffled}.jsonl")
+    _assert_only_files_and_digests_differ(files, files_after, *RECORD_FILES[shuffled])
 
 
-def _assert_only_file_and_digest_differ(files, files_after, name):
-    """The two workspaces differ in ``name`` and, in the manifest, in its
-    digest alone."""
-    assert files_after[name] != files[name]
-    digests = (_sha256(f[name]).encode() for f in (files, files_after))
-    files = {**files, "manifest.json": files["manifest.json"].replace(*digests),
-             name: files_after[name]}
+# The files ingest writes from each input: reviews.jsonl comes with its index.
+RECORD_FILES = {"businesses": ("businesses.jsonl",),
+                "reviews": ("reviews.jsonl", "reviews.idx")}
+
+
+def _assert_only_files_and_digests_differ(files, files_after, *names):
+    """The two workspaces differ in ``names`` and, in the manifest, in their
+    digests alone."""
+    manifest = files["manifest.json"]
+    for name in names:
+        assert files_after[name] != files[name]
+        manifest = manifest.replace(*(_sha256(f[name]).encode() for f in (files, files_after)))
+    files = {**files, "manifest.json": manifest, **{name: files_after[name] for name in names}}
     assert files_after == files
 
 
@@ -1179,7 +1254,7 @@ def test_reviews_outside_the_cohort_change_no_score_artifact(tmp_path, lexicon_f
     assert stdout_after.pop("ingest") != stdout.pop("ingest")
     assert stdout_after == stdout
     assert files_after["reviews.jsonl"] != files["reviews.jsonl"]
-    for name in ("reviews.jsonl", "manifest.json"):
+    for name in (*RECORD_FILES["reviews"], "manifest.json"):
         del files[name], files_after[name]
     assert {"topics.tsv", "cohort_scores.csv", "corpus_stats.json"} <= files.keys()
     assert files_after == files
@@ -1205,7 +1280,7 @@ def test_lexicon_terms_no_topic_holds_change_only_lexicon_tsv(tmp_path, lexicon_
     stdout_after, files_after = _shuffled_run(
         tmp_path / "data", richer, tmp_path / "ws2", lines, capsys, compare=True)
     assert stdout_after == stdout
-    _assert_only_file_and_digest_differ(files, files_after, "lexicon.tsv")
+    _assert_only_files_and_digests_differ(files, files_after, "lexicon.tsv")
 
 
 def test_non_ascii_separators_change_only_reviews_jsonl(tmp_path, lexicon_file, capsys):
@@ -1213,7 +1288,7 @@ def test_non_ascii_separators_change_only_reviews_jsonl(tmp_path, lexicon_file, 
     # other text with it, into the same terms. Every other review has ASCII
     # separators swapped for non-ASCII ones (a curly apostrophe, a no-break
     # space, an emoji between words), so it takes the other path; only
-    # reviews.jsonl and its digest in the manifest change.
+    # reviews.jsonl, its index and their digests in the manifest change.
     lines = _shuffle_corpus(random.Random(2424))
     texts = []
     for i, line in enumerate(lines["reviews"]):
@@ -1232,7 +1307,7 @@ def test_non_ascii_separators_change_only_reviews_jsonl(tmp_path, lexicon_file, 
     stdout_after, files_after = _shuffled_run(
         tmp_path / "data", lexicon_file, tmp_path / "ws2", lines, capsys, compare=True)
     assert len(stdout) > 3 and stdout_after == stdout
-    _assert_only_file_and_digest_differ(files, files_after, "reviews.jsonl")
+    _assert_only_files_and_digests_differ(files, files_after, *RECORD_FILES["reviews"])
 
 
 class _FileAudit:
@@ -1292,8 +1367,8 @@ def test_each_command_opens_only_what_readme_lists(data_dir, lexicon_file, tmp_p
     # Of the workspace files, each command opens for reading manifest.json
     # and its row of README's table, besides the artifacts a stage reads back
     # to hash. A stage writes its artifacts and the manifest and removes the
-    # later stages' artifacts. Compare writes and removes nothing, so a
-    # shared lock could let compares run together. Outside the workspace,
+    # later stages' artifacts. Compare writes and removes nothing, which is
+    # what lets compares share the lock. Outside the workspace,
     # only its directory (the lock) and the command's input flags are opened.
     table = _readme_reads()
     assert set(table) == {"rank", "score", "compare"} and all(table.values())
@@ -1427,6 +1502,34 @@ def _merge_other1(path):
     i = _other1_line(lines)
     lines[i:i + 2] = [lines[i] + lines[i + 1]]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _edit_text_in_place(path, business_id, last=False):
+    """Change the first letter of the text of the first (or ``last``) review
+    of ``business_id`` to another, so the file keeps its length."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    owned = [i for i, line in enumerate(lines) if json.loads(line)["business_id"] == business_id]
+    i = owned[-1 if last else 0]
+    at = lines[i].index('"text":"') + len('"text":"')
+    lines[i] = lines[i][:at] + ("y" if lines[i][at] == "x" else "x") + lines[i][at + 1:]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _flip_index_digest(path, business_id):
+    """Change one hex digit of ``business_id``'s digest in reviews.idx."""
+    token = json.dumps(business_id)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith(token + " "))
+    at = len(token) + 1
+    lines[i] = lines[i][:at] + ("1" if lines[i][at] == "0" else "0") + lines[i][at + 1:]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _set_file_digest(path, name, digest):
+    """Record ``digest`` as the SHA-256 of ``name`` in the manifest."""
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest["stages"][workspace_module._WRITER[name]]["files"][name] = digest
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _drop_record_digests(path):

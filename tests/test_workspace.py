@@ -32,7 +32,7 @@ from conftest import make_business, make_review
 
 # Path properties of the artifacts each stage writes, in pipeline order.
 STAGE_ARTIFACTS = [
-    ("ingest", ("businesses_path", "reviews_path")),
+    ("ingest", ("businesses_path", "reviews_path", "review_index_path")),
     ("rank", ("taxonomy_path", "ranked_path", "frequency_path")),
     ("score", ("topics_path", "cohort_scores_path", "corpus_stats_path", "lexicon_path")),
 ]
@@ -68,6 +68,20 @@ class TestLock:
             with pytest.raises(WorkspaceLockedError):
                 with ws.lock():
                     pass
+
+    def test_shared_holders_exclude_only_an_exclusive_one(self, ws):
+        # Each lock() opens the directory anew, so flock sets the holders
+        # apart within one process too.
+        with ws.lock(shared=True), ws.lock(shared=True):
+            with pytest.raises(WorkspaceLockedError):
+                with ws.lock():
+                    pass
+        with ws.lock():
+            with pytest.raises(WorkspaceLockedError):
+                with ws.lock(shared=True):
+                    pass
+        with ws.lock(shared=True):
+            pass
 
     def test_lock_released_on_exception(self, ws):
         with pytest.raises(RuntimeError):
@@ -279,6 +293,10 @@ class TestRoundTrips:
         for business_ids in (None, {"b1"}):
             with pytest.raises(StaleWorkspaceError, match="reviews.jsonl changed since ingest"):
                 ws.read_reviews(business_ids)
+        # The indexed read checks only the lines it reads, and the file's size.
+        with pytest.raises(StaleWorkspaceError, match="reviews.jsonl changed since ingest"):
+            ws.read_indexed_reviews({"b2"})
+        assert ws.read_indexed_reviews({"b1"}) == [make_review("b1", 4, "nice")]
 
     def test_ranked(self, ws):
         entries = [RankEntry("b1", 12, 8.4), RankEntry("b2", 3, 2.1)]
@@ -318,6 +336,7 @@ def test_filtered_read_is_the_full_read_filtered(extra_ids, data):
         ws = Workspace(root)
         record_ingest(ws, businesses, reviews)
         assert ws.read_reviews(wanted) == [r for r in ws.read_reviews() if r.business_id in wanted]
+        assert ws.read_indexed_reviews(wanted) == ws.read_reviews(wanted)
         assert ws.read_reviews() == reviews
         assert list(ws.read_businesses(wanted).items()) == [
             (business_id, record) for business_id, record in ws.read_businesses().items()
@@ -327,8 +346,33 @@ def test_filtered_read_is_the_full_read_filtered(extra_ids, data):
         # fresh copies, so interning cannot make them the same object.
         passed = {business_id: business_id
                   for business_id in ("".join(list(i)) for i in wanted)}
-        for record in [*ws.read_reviews(passed), *ws.read_businesses(passed).values()]:
+        for record in [*ws.read_reviews(passed), *ws.read_indexed_reviews(passed),
+                       *ws.read_businesses(passed).values()]:
             assert record.business_id is passed[record.business_id]
+
+
+# Ids whose encoded form, with the space after it, is inside the encoded
+# form of an id in ESCAPED_IDS: "te" in "quo\"te", "b" in "a\",\"b" and
+# "," in "x\\\",". So the index must be searched from a line start.
+SUFFIX_IDS = ['te', 'b', ',']
+
+
+def test_indexed_read_of_every_pair():
+    # Every pair compare could ask for, --a equal to --b included, among ids
+    # with escapes, ids inside other ids, and businesses without a review;
+    # the reviews of one business both adjacent and apart in the file.
+    ids = ESCAPED_IDS + SUFFIX_IDS
+    owners = ['quo"te', 'quo"te', 'caf\u00e9', 'plain', 'quo"te', '-dash', 'x\\",', 'a","b',
+              'back\\slash', 'plain', '\u2603', 'te']
+    reviews = [make_review(owner, 1 + i % 5, f"text {i}") for i, owner in enumerate(owners)]
+    with tempfile.TemporaryDirectory() as root:
+        ws = Workspace(root)
+        record_ingest(ws, [make_business(business_id, {"wifi"}) for business_id in ids], reviews)
+        assert ws.read_reviews() == reviews
+        for a in ids + ["ghost"]:
+            for b in ids + ["ghost"]:
+                pair = frozenset((a, b))
+                assert ws.read_indexed_reviews(pair) == ws.read_reviews(pair), (a, b)
 
 
 # Characters csv or json must quote or escape, and a few they pass through.

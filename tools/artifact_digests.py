@@ -3,9 +3,13 @@
 Runs ingest, rank, score and a seeded list of compares (alternating json
 and text) over a corpus written by ``perfbench/generate.py``, each command
 as its own process with the package imported from the given source
-directory. The command arguments, the rank cutoff of the workload and the
-workspace file digests are the benchmark's own (``perfbench/run.py`` and
-``perfbench/workloads.py``), so the pipeline checked is the one benchmarked.
+directory. The compare pairs are drawn from every restaurant ingest kept
+(``businesses.jsonl``), as the benchmark draws them from the corpus's
+restaurants, so most pairs of a workload with a rank cutoff hold a
+restaurant outside the ranked cohort. The command arguments, the rank
+cutoff of the workload and the workspace file digests are the benchmark's
+own (``perfbench/run.py`` and ``perfbench/workloads.py``), so the pipeline
+checked is the one benchmarked.
 Then it runs ingest, rank and score again over the finished workspace, so
 each writer also overwrites a file it wrote before; the benchmark starts
 every round from an empty workspace and never does. Prints one JSON object:
@@ -24,7 +28,6 @@ comparing a parent commit with a change is a ``diff``:
 """
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -92,8 +95,8 @@ def digests(workload, corpus_dir: Path, src: Path) -> dict:
         stages = stage_args(workload, corpus, ws)
         for stage, args in stages.items():
             record(out, stage, stage, args)
-        with open(ws / "ranked.csv", encoding="utf-8", newline="") as handle:
-            ids = sorted(row["business_id"] for row in csv.DictReader(handle))
+        with open(ws / "businesses.jsonl", encoding="utf-8") as handle:
+            ids = sorted(json.loads(line)["business_id"] for line in handle)
         rng = random.Random(SEED)
         for i in range(COMPARES):
             pair = rng.sample(ids, 2)
