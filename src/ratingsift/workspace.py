@@ -2,17 +2,18 @@
 
 Each pipeline stage (ingest, rank, score) writes its artifacts here plus a
 manifest entry holding its counters, its settings and the SHA-256 of each
-artifact. Every read of an artifact goes through ``_reading``, so a command
-refuses a file it reads that is missing, not a regular file, damaged or
-changed since the stage that wrote it, and the files it does not read cannot
-stop it. Compare reads ``reviews.jsonl`` through its index, ``reviews.idx``:
-the index is read through ``_reading``, and of the record file only the
-pair's lines, each business's checked against the digest the index holds
-(see ``read_indexed_reviews``). Every open of a workspace file, to read or
-to write, goes through ``_open_regular``, which refuses anything but a
-regular file and never waits on a FIFO. The lock is an ``flock`` on the
-directory, exclusive for a stage and shared for compare, so the workspace
-holds nothing else. All writers are deterministic: fixed key
+artifact, taken from the bytes as they are written: no stage reads back its
+own output. Every read of an artifact goes through ``_reading``, so a
+command refuses a file it reads that is missing, not a regular file, damaged
+or changed since the stage that wrote it, and the files it does not read
+cannot stop it. Compare reads ``reviews.jsonl`` through its index,
+``reviews.idx``: the index is read through ``_reading``, and of the record
+file only the pair's lines, each business's checked against the digest the
+index holds (see ``read_indexed_reviews``). Every open of a workspace file,
+to read or to write, goes through ``_open_regular``, which refuses anything
+but a regular file and never waits on a FIFO. The lock is an ``flock`` on
+the directory, exclusive for a stage and shared for compare, so the
+workspace holds nothing else. All writers are deterministic: fixed key
 order, fixed six-decimal formatting for rationals, "\n" line endings, and
 no timestamps, so identical inputs produce byte-identical files. Each writer
 overwrites its file in place and cuts it to length once done (see
@@ -76,6 +77,7 @@ class Workspace:
 
     def __init__(self, root):
         self.root = Path(root)
+        self._digests = {}  # name -> hex SHA-256 of the bytes this handle last wrote to it
 
     # artifact paths ----------------------------------------------------
 
@@ -153,13 +155,15 @@ class Workspace:
             for name in STAGES[later]:
                 try:
                     (self.root / name).unlink(missing_ok=True)
-                except IsADirectoryError:
+                except OSError:  # EISDIR on Linux, EPERM on macOS
+                    if not (self.root / name).is_dir():
+                        raise
                     raise _not_regular(self.root / name, stage) from None
 
     def record_stage(self, stage: str, info: dict) -> None:
-        """Mark a stage complete once its artifacts are written, with their SHA-256."""
+        """Mark a stage complete, with the SHA-256 ``_create`` took of each artifact."""
         manifest = self.load_manifest()
-        files = {name: file_sha256(self.root / name) for name in STAGES[stage]}
+        files = {name: self._digests[name] for name in STAGES[stage]}
         manifest["stages"][stage] = {**info, "files": files}
         _write_json(self.manifest_path, manifest)
 
@@ -230,7 +234,7 @@ class Workspace:
     # of that business's line.
 
     def write_businesses(self, records: Iterable[BusinessRecord]) -> None:
-        with _create(self.businesses_path) as handle:
+        with _create(self.businesses_path, self._digests) as handle:
             for business_id, overall_stars, features in records:
                 if type(overall_stars) is not float or not isfinite(overall_stars):
                     raise TypeError(f"overall_stars is not a finite float: {overall_stars!r}")
@@ -250,7 +254,7 @@ class Workspace:
         time, then its index, reviews.idx."""
         index = {}  # id token -> [SHA-256 of its lines, [offset, length, ...] of its runs]
         size = 0
-        with _create(self.reviews_path) as handle:
+        with _create(self.reviews_path, self._digests) as handle:
             for business_id, run in groupby(reviews, itemgetter(0)):
                 token = _json_key(business_id)
                 lines = []
@@ -266,7 +270,7 @@ class Workspace:
                 entry[0].update(block.encode())
                 entry[1] += (size, len(block))
                 size += len(block)
-        with _create(self.review_index_path) as handle:
+        with _create(self.review_index_path, self._digests) as handle:
             handle.write("".join([f"reviews.jsonl {size}\n", *(
                 f"{token} {digest.hexdigest()} {','.join(map(str, runs))}\n"
                 for token, (digest, runs) in index.items()
@@ -349,12 +353,12 @@ class Workspace:
             return FeatureTaxonomy.load(self.taxonomy_path)
 
     def write_taxonomy(self, taxonomy: FeatureTaxonomy) -> None:
-        with _create(self.taxonomy_path) as handle:
+        with _create(self.taxonomy_path, self._digests) as handle:
             handle.write(taxonomy.dumps())
 
     def write_ranked(self, entries: Iterable[RankEntry]) -> None:
         _write_csv(
-            self.ranked_path,
+            self.ranked_path, self._digests,
             ["business_id", "feature_count", "weighted_score"],
             ([e.business_id, e.feature_count, f"{e.weighted_score:.6f}"] for e in entries),
         )
@@ -368,7 +372,7 @@ class Workspace:
 
     def write_frequency(self, counts: Mapping[str, int]) -> None:
         ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        _write_csv(self.frequency_path, ["feature", "frequency"], ordered)
+        _write_csv(self.frequency_path, self._digests, ["feature", "frequency"], ordered)
 
     # score artifacts ---------------------------------------------------
 
@@ -376,7 +380,7 @@ class Workspace:
         """The bytes ``csv.writer(delimiter="\\t")`` writes, one line per topic
         built by one f-string, and one write per profile. A profile's terms
         go through ``_tsv_field`` only when their joined text needs csv."""
-        with _create(self.topics_path) as handle:
+        with _create(self.topics_path, self._digests) as handle:
             handle.write("business_id\tstars\trank\tterm\ttfidf_weight\n")
             for profile in profiles:
                 topics = profile.topics
@@ -392,7 +396,7 @@ class Workspace:
 
     def write_cohort_scores(self, scores: CohortScores) -> None:
         _write_csv(
-            self.cohort_scores_path,
+            self.cohort_scores_path, self._digests,
             ["stars", "combined", "average", "populated_count"],
             (
                 [stars, scores.combined[stars], f"{scores.average[stars]:.6f}",
@@ -407,7 +411,7 @@ class Workspace:
         terms are sorted alone and each count looked up, so no tuple is built
         per term."""
         df = stats.df
-        with _create(self.corpus_stats_path) as handle:
+        with _create(self.corpus_stats_path, self._digests) as handle:
             terms = iter(sorted(df))
             first = next(terms, None)
             if first is None:
@@ -427,7 +431,7 @@ class Workspace:
     def write_lexicon(self, lexicon: SentimentLexicon) -> None:
         """One term TAB valence line per entry, sorted by term."""
         entries = sorted(lexicon.entries.items())
-        with _create(self.lexicon_path) as handle:
+        with _create(self.lexicon_path, self._digests) as handle:
             handle.writelines(f"{term}\t{valence}\n" for term, valence in entries)
 
     def read_lexicon(self) -> SentimentLexicon:
@@ -480,21 +484,35 @@ def _not_regular(path: Path, stage: str) -> StaleWorkspaceError:
     )
 
 
+class _HashingFile(io.FileIO):
+    """A raw file that feeds each byte it writes to its ``sha256``."""
+
+    def write(self, data):
+        written = super().write(data)
+        self.sha256.update(memoryview(data)[:written])
+        return written
+
+
 @contextmanager
-def _create(path: Path):
+def _create(path: Path, digests: dict):
     """Open an artifact for writing: UTF-8, "\\n" line endings on every
     platform. The file is overwritten in place and cut to its new length once
     the body has written everything: truncating a file whose blocks are on
     disk waits for the disk (tens of milliseconds on ext4), overwriting it
     does not. An interrupted write leaves new bytes followed by old ones,
-    which no manifest entry claims."""
-    with open(path, "w", encoding="utf-8", newline="", opener=_open_regular) as handle:
+    which no manifest entry claims. Each buffer is hashed as it is written, and
+    once the file is cut ``digests[path.name]`` holds its SHA-256."""
+    digests.pop(path.name, None)
+    with (_HashingFile(path, "w", opener=_open_regular) as raw,
+          io.TextIOWrapper(io.BufferedWriter(raw), encoding="utf-8", newline="") as handle):
+        raw.sha256 = hashlib.sha256()
         yield handle
         handle.truncate()
+        digests[path.name] = raw.sha256.hexdigest()
 
 
-def _write_csv(path: Path, header: list, rows: Iterable) -> None:
-    with _create(path) as handle:
+def _write_csv(path: Path, digests: dict, header: list, rows: Iterable) -> None:
+    with _create(path, digests) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -505,7 +523,7 @@ def _write_json(path: Path, obj) -> None:
     new and old bytes into JSON that parses: it leaves the old file, the new
     one, or the new one followed by an old tail that fails to parse."""
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    with _create(path) as handle:
+    with _create(path, {}) as handle:
         handle.write(text)
 
 
@@ -550,11 +568,3 @@ def _tsv_field(value: str) -> str:
 
 _NEEDS_CSV = re.compile('[\t"\r\n\0]').search
 
-
-def file_sha256(path) -> str:
-    """Hex SHA-256 of a file's bytes, read in 64 KiB chunks."""
-    digest = hashlib.sha256()
-    with open(path, "rb", opener=_open_regular) as handle:
-        for chunk in iter(lambda: handle.read(1 << 16), b""):
-            digest.update(chunk)
-    return digest.hexdigest()

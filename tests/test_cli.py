@@ -95,8 +95,8 @@ class _FullDisk:
         self.create = workspace_module._create  # the real one, before it is patched
 
     @contextlib.contextmanager
-    def __call__(self, path):
-        with self.create(path) as handle:
+    def __call__(self, path, digests):
+        with self.create(path, digests) as handle:
             yield self if path.name == self.name else handle
 
     def write(self, text):
@@ -670,6 +670,36 @@ class TestExitCodes:
         assert main(pipeline_steps(data_dir, lexicon_file, ws)[command]) == 2
         err = capsys.readouterr().err
         assert f"{name} is not a regular file; remove it and re-run {command}" in err
+
+    @pytest.mark.parametrize("kind", ["directory", "file"])
+    def test_unlink_refused_with_eperm_as_on_macos(
+        self, data_dir, lexicon_file, tmp_path, capsys, monkeypatch, kind
+    ):
+        # macOS refuses to unlink a directory with EPERM, not EISDIR: a
+        # directory where rank deletes a later file still exits 2 naming it,
+        # and an EPERM on a regular file is an error of its own (exit 1).
+        ws = tmp_path / "ws"
+        run_pipeline(data_dir, lexicon_file, ws, through="score")
+        if kind == "directory":
+            (ws / "topics.tsv").unlink()
+            (ws / "topics.tsv").mkdir()
+        unlink = os.unlink
+
+        def refusing_unlink(path, *args, **kwargs):
+            if os.path.basename(path) == "topics.tsv":
+                raise PermissionError(errno.EPERM, os.strerror(errno.EPERM), str(path))
+            return unlink(path, *args, **kwargs)
+
+        capsys.readouterr()
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "unlink", refusing_unlink)
+            code = main(pipeline_steps(data_dir, lexicon_file, ws)["rank"])
+        err = capsys.readouterr().err
+        if kind == "directory":
+            assert code == 2
+            assert "topics.tsv is not a regular file; remove it and re-run rank" in err
+        else:
+            assert code == 1 and os.strerror(errno.EPERM) in err
 
     @pytest.mark.parametrize("name,command", WRITTEN)
     def test_failed_write_exits_1_and_is_never_claimed(
@@ -1365,9 +1395,10 @@ def _readme_reads():
 
 def test_each_command_opens_only_what_readme_lists(data_dir, lexicon_file, tmp_path, file_audit):
     # Of the workspace files, each command opens for reading manifest.json
-    # and its row of README's table, besides the artifacts a stage reads back
-    # to hash. A stage writes its artifacts and the manifest and removes the
-    # later stages' artifacts. Compare writes and removes nothing, which is
+    # and its row of README's table, and nothing else: a stage hashes its
+    # artifacts as it writes them, so it reads none back. A stage writes its
+    # artifacts and the manifest and removes the later stages' artifacts.
+    # Compare writes and removes nothing, which is
     # what lets compares share the lock. Outside the workspace,
     # only its directory (the lock) and the command's input flags are opened.
     table = _readme_reads()
@@ -1388,7 +1419,7 @@ def test_each_command_opens_only_what_readme_lists(data_dir, lexicon_file, tmp_p
             outside = {path for found in paths.values() for path in found if path.parent != ws}
             own = set(STAGES.get(command, ()))
             reads = {"manifest.json"} | table.get(command, set())
-            assert names["read"] - own == reads, (run, step)
+            assert names["read"] == reads, (run, step)
             assert outside == {ws} | inputs.get(command, set()), (run, step)
             if command == "compare":
                 assert paths["written"] == paths["removed"] == set(), (run, step)

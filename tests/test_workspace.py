@@ -10,7 +10,7 @@ import tracemalloc
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ratingsift import (
@@ -23,7 +23,7 @@ from ratingsift import (
 )
 from ratingsift import workspace as workspace_module
 from ratingsift.ingest import VALID_BUSINESS_STARS, BusinessRecord, ReviewRecord
-from ratingsift.sentiment import CohortScores, TopicProfile
+from ratingsift.sentiment import CohortScores, SentimentLexicon, TopicProfile
 from ratingsift.taxonomy import RankEntry
 from ratingsift.workspace import STAGES
 
@@ -46,12 +46,20 @@ ENTRIES = {
 }
 
 
+def write_artifact(ws, name, text=""):
+    """Write ``text`` to the artifact ``name`` through the workspace's writer,
+    which takes the digest record_stage claims."""
+    with workspace_module._create(ws.root / name, ws._digests) as handle:
+        handle.write(text)
+
+
 def record_through(ws, last):
-    """Record every stage up to ``last``, first creating, empty, each of
-    their files that is not yet written."""
+    """Record every stage up to ``last``, first writing, empty, each of their
+    files that ``ws`` has not yet written."""
     for stage in list(STAGES)[:list(STAGES).index(last) + 1]:
         for name in STAGES[stage]:
-            (ws.root / name).touch()
+            if name not in ws._digests:
+                write_artifact(ws, name)
         ws.record_stage(stage, ENTRIES[stage])
 
 
@@ -100,8 +108,8 @@ class TestStages:
             ws.require_stage("ingest")
 
     def test_record_then_require(self, ws):
-        for path in STAGE_ARTIFACTS[0][1]:
-            getattr(ws, path).write_text("x", encoding="utf-8")
+        for name in STAGES["ingest"]:
+            write_artifact(ws, name, "x")
         ws.begin_stage("ingest")
         ws.record_stage("ingest", ENTRIES["ingest"])
         files = dict.fromkeys(STAGES["ingest"], hashlib.sha256(b"x").hexdigest())
@@ -181,8 +189,8 @@ class _Interrupting:
         self.points += 1
 
     @contextmanager
-    def __call__(self, path):
-        with self.create(path) as handle:
+    def __call__(self, path, digests):
+        with self.create(path, digests) as handle:
             if path.name != "manifest.json":
                 yield handle
                 return
@@ -233,6 +241,71 @@ def test_interrupted_manifest_rewrite_never_mixes(tmp_path, monkeypatch, rewrite
             assert data == old or parsed == new, at
         at += 1
     assert at >= 2  # the write and the cut to length
+
+
+# Each writer, the files it writes, and its input built from a list of
+# distinct words. No words gives its smallest output (empty where it can be);
+# thousands give many 8 KiB buffers.
+DIGEST_WRITERS = [
+    ("write_businesses", ["businesses.jsonl"],
+     lambda words: [make_business(word, {word}) for word in words]),
+    ("write_reviews", ["reviews.jsonl", "reviews.idx"],
+     lambda words: [make_review(word, 1 + i % 5, word) for i, word in enumerate(words)]),
+    ("write_taxonomy", ["taxonomy.cfg"],
+     lambda words: FeatureTaxonomy(
+         {f"c{i}": frozenset({word}) for i, word in enumerate(words)} or {"c": {"a"}},
+         {f"c{i}": 0.5 for i in range(len(words))} or {"c": 0.5})),
+    ("write_ranked", ["ranked.csv"],
+     lambda words: [RankEntry(word, i, i / 8) for i, word in enumerate(words)]),
+    ("write_frequency", ["feature_frequency.csv"],
+     lambda words: {word: i for i, word in enumerate(words)}),
+    ("write_topics", ["topics.tsv"],
+     lambda words: [TopicProfile(word, 1 + i % 5, ((word, 0.5), (f"x{word}", 0.25)), 0)
+                    for i, word in enumerate(words)]),
+    ("write_cohort_scores", ["cohort_scores.csv"],
+     lambda words: CohortScores(combined={i: -i for i in range(len(words))},
+                                average={i: i / 3 for i in range(len(words))},
+                                populated_counts={i: i for i in range(len(words))})),
+    ("write_corpus_stats", ["corpus_stats.json"],
+     lambda words: CorpusStats(n_docs=max(1, len(words)), df=dict.fromkeys(words, 1))),
+    ("write_lexicon", ["lexicon.tsv"],
+     lambda words: SentimentLexicon({word: i % 11 - 5 for i, word in enumerate(words)})),
+]
+
+
+@pytest.mark.parametrize("writer,names,build", DIGEST_WRITERS,
+                         ids=[writer for writer, _, _ in DIGEST_WRITERS])
+@given(
+    # 1- to 4-byte UTF-8 characters: where a writer writes words raw (not
+    # JSON-escaped), some fall across the file's 8 KiB offsets
+    word=st.text(alphabet='a"\u00e9\u20ac\U0001f600', min_size=1, max_size=6),
+    count=st.one_of(st.integers(0, 12), st.integers(1500, 3000)),
+    cut=st.integers(1, 400),
+)
+@example(word="a", count=0, cut=1)
+@example(word="\u00e9\u20ac\U0001f600", count=3000, cut=400)
+@settings(max_examples=20, deadline=None)
+def test_recorded_digest_is_the_written_files_digest(writer, names, build, word, count, cut):
+    # Each writer first writes a longer file, then overwrites it in place
+    # with ``count`` words, so the cut to length drops a tail. The digest
+    # record_stage claims is that of the bytes the file holds, and a fresh
+    # Workspace reads the file.
+    words = [f"{word}{i}" for i in range(count + cut)]
+    stage = workspace_module._WRITER[names[0]]
+    with tempfile.TemporaryDirectory() as root:
+        ws = Workspace(root)
+        getattr(ws, writer)(build(words))
+        longer = {name: (ws.root / name).stat().st_size for name in names}
+        getattr(ws, writer)(build(words[:count]))
+        record_through(ws, stage)
+        files = ws.load_manifest()["stages"][stage]["files"]
+        fresh = Workspace(root)
+        for name in names:
+            data = (ws.root / name).read_bytes()
+            assert len(data) < longer[name]
+            assert files[name] == hashlib.sha256(data).hexdigest()
+            with fresh._reading(ws.root / name) as (handle, digest):
+                digest.update(handle.read())
 
 
 class TestTaxonomyHash:
@@ -553,5 +626,5 @@ class TestDeterministicWriters:
         record_through(ws, "ingest")
         text = ws.manifest_path.read_text(encoding="utf-8")
         again = Workspace(ws.root)
-        again.record_stage("ingest", ENTRIES["ingest"])
+        record_through(again, "ingest")
         assert ws.manifest_path.read_text(encoding="utf-8") == text

@@ -10,9 +10,14 @@ restaurant outside the ranked cohort. The command arguments, the rank
 cutoff of the workload and the workspace file digests are the benchmark's
 own (``perfbench/run.py`` and ``perfbench/workloads.py``), so the pipeline
 checked is the one benchmarked.
-Then it runs ingest, rank and score again over the finished workspace, so
-each writer also overwrites a file it wrote before; the benchmark starts
-every round from an empty workspace and never does. Prints one JSON object:
+Then it runs ``rank --cutoff 1`` and ``score`` over the finished
+workspace, and ingest, rank and score again. ``rank --cutoff 1`` overwrites
+the longer ``ranked.csv`` and ``feature_frequency.csv`` of the first pass in
+place, so the writer cuts each to its shorter length, and score then checks
+the digest of the ``ranked.csv`` it reads. Ingest overwrites its own files
+with the same bytes and deletes the later stages' files, which rank and
+score write again. The benchmark starts every round from an empty
+workspace and never overwrites a file. Prints one JSON object:
 the SHA-256 of every workspace file and of every command's stdout, and every
 exit code, ingest's counters by name as its stdout gives them (so a counter
 that drifts shows by name), the byte size of every workspace file, and the
@@ -35,6 +40,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -103,6 +109,9 @@ def digests(workload, corpus_dir: Path, src: Path) -> dict:
             record(out, f"compare{i:02d}", "compare",
                    compare_args(ws, pair, ("json", "text")[i % 2]))
         out["files"], out["sizes"], out["entries"] = files(ws)
+        record(rerun, "rank-cutoff-1", "rank",
+               stage_args(replace(workload, cutoff=1), corpus, ws)["rank"])
+        record(rerun, "score-cutoff-1", "score", stages["score"])
         for stage, args in stages.items():
             record(rerun, stage, stage, args)
         rerun["files"], rerun["sizes"], rerun["entries"] = files(ws)
