@@ -13,8 +13,9 @@ entries with quoted or bare keys. Any other Python literal syntax is an
 opaque string token, counted as a fallback. Raw values repeat heavily, so
 each business parse keeps a cache of at most 4096 flattened values, which
 bounds its memory; the counters stay exact because cached counts are added
-on every use. A business record keeps its id, overall stars and flattened
-features, not the raw strings, and only restaurants are kept. A review record
+on every use. Every well-formed business line has its attributes flattened
+and counted, but only a restaurant gets a feature set and a record: its id,
+overall stars and flattened features, not the raw strings. A review record
 keeps its business, stars and text; its id is read only to drop duplicates.
 """
 
@@ -230,8 +231,18 @@ def flatten_features(
 ) -> frozenset[str]:
     """Flatten an attribute map, as decoded from the dump, into canonical
     feature names. A value that is not a string is read in its
-    Python-literal form (``repr``), as ``parse_businesses`` reads it."""
-    return _flatten_raw(attributes, counters, _flatten_attribute)
+    Python-literal form (``repr``), as ``parse_businesses`` reads it. It is
+    the pass ``parse_businesses`` makes over every well-formed line, so
+    ``counters`` gains what that parse counts for a line with this map,
+    restaurant or not."""
+    return _feature_set(_flatten_raw(attributes, counters, _flatten_attribute))
+
+
+def _feature_set(found: list[str]) -> frozenset[str]:
+    """The names in ``found`` as a frozenset. Built from a set, its table is
+    sized once for its members; built straight from a list, it grows as it
+    fills, to up to twice that (2,264 bytes against 1,240 for 19 names)."""
+    return frozenset(set(found))
 
 
 def _flatten_attribute(attr_name: str, raw: str) -> _Flattened:
@@ -260,8 +271,10 @@ def _flatten_raw(
     attributes: dict[str, object],
     counters: BusinessCounters | None,
     flatten_attribute: Callable[[str, str], _Flattened],
-) -> frozenset[str]:
+) -> list[str]:
     """Core of flatten_features: the one pass over a business's attributes.
+    Returns the present feature names in the order found, repeats included;
+    the caller makes the set, so a business it does not keep gets none.
 
     A value that is not a string is rendered Python-literal style first, so
     parse_attribute_value sees the same shape either way. Top-level leaf
@@ -273,19 +286,19 @@ def _flatten_raw(
     cache of it; the counts are summed over every call and added to
     ``counters`` once, so they stay exact either way.
     """
-    features: set[str] = set()
+    found: list[str] = []
     fallbacks = unknown = 0
     for attr_name, raw in attributes.items():
         if not isinstance(raw, str):
             raw = repr(raw)  # the same text str() gives for JSON's other types
         present, attr_fallbacks, attr_unknown = flatten_attribute(attr_name, raw)
-        features.update(present)
+        found += present
         fallbacks += attr_fallbacks
         unknown += attr_unknown
     if counters is not None:
         counters.attribute_fallbacks += fallbacks
         counters.unknown_feature_names += unknown
-    return frozenset(features)
+    return found
 
 
 def _iter_objects(stream, counters: BusinessCounters | ReviewCounters) -> Iterator[dict]:
@@ -324,16 +337,18 @@ def _is_restaurant(categories) -> bool:
         categories = categories.split(",")
     elif not isinstance(categories, list):
         return False
-    return any(str(name).strip().lower() == "restaurants" for name in categories)
+    return "restaurants" in map(str.lower, map(str.strip, map(str, categories)))
 
 
 def _build_business(
     obj: dict, counters: BusinessCounters, flatten_attribute: Callable[[str, str], _Flattened]
-) -> BusinessRecord | None:
-    """Build a record from one decoded JSON object; None when malformed.
-    ``review_count`` is checked but not kept, and ``name`` is not read. The
-    categories are not read either, so a non-restaurant's attributes count too.
-    The decoded ``attributes`` go to ``_flatten_raw`` as they are, uncopied."""
+) -> list[str] | None:
+    """Validate one decoded JSON object and count its attributes; None when
+    malformed, else the feature names ``_flatten_raw`` found. ``review_count``
+    is checked but not kept, and ``name`` is not read. The categories are not
+    read either, so a non-restaurant's attributes count too; the caller
+    checks them before it builds a record. The decoded ``attributes`` go to
+    ``_flatten_raw`` as they are, uncopied."""
     business_id = obj.get("business_id")
     # ranked.csv could not hold "\r" (csv leaves it bare before Python 3.13)
     # or NUL (csv refuses it on 3.10), so such an id is malformed.
@@ -355,11 +370,7 @@ def _build_business(
         attributes = {}
     if not isinstance(attributes, dict):
         return None
-    return BusinessRecord(
-        business_id=business_id,
-        overall_stars=float(stars),
-        features=_flatten_raw(attributes, counters, flatten_attribute),
-    )
+    return _flatten_raw(attributes, counters, flatten_attribute)
 
 
 def parse_businesses(
@@ -382,14 +393,14 @@ def parse_businesses(
     # One cache per parse: bounded, and gone when the parse ends.
     flatten_attribute = functools.lru_cache(maxsize=_FLATTEN_CACHE_SIZE)(_flatten_attribute)
     for obj in _iter_objects(stream, counters):
-        record = _build_business(obj, counters, flatten_attribute)
-        if record is None:
+        found = _build_business(obj, counters, flatten_attribute)
+        if found is None:
             counters.skipped_malformed += 1
         elif not _is_restaurant(obj.get("categories")):
             counters.skipped_non_restaurant += 1
         else:
             counters.parsed += 1
-            yield record
+            yield BusinessRecord(obj["business_id"], float(obj["stars"]), _feature_set(found))
 
 
 def _build_review(obj: dict, counters: ReviewCounters, known: set[str]) -> ReviewRecord | None:

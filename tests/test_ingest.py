@@ -294,6 +294,33 @@ class TestParseBusinesses:
         records = list(parse_businesses(io.BytesIO(data)))
         assert records[0].business_id == "b1"
 
+    def test_records_built_only_for_restaurants(self, monkeypatch):
+        # A non-restaurant adds its attribute counts and nothing else: no
+        # record is built for it, nor for a malformed line.
+        built = []
+
+        class CountedRecord(ingest.BusinessRecord):
+            def __new__(cls, *args, **kwargs):
+                built.append(cls)
+                return super().__new__(cls, *args, **kwargs)
+
+        monkeypatch.setattr(ingest, "BusinessRecord", CountedRecord)
+        lines = [
+            business_line("r1", attributes=attributes_for({"wifi", "lot"})),
+            business_line("n1", categories="Auto Repair",
+                          attributes={"HasTV": "definitely", "Music": "True"}),
+            "junk",
+            business_line("m1", stars=3.7),
+            business_line("r2", categories=["Thai", "restaurants"]),
+            business_line("n2", categories=None, attributes=attributes_for({"hastv"})),
+        ]
+        counters = BusinessCounters()
+        records = list(parse_businesses(lines, counters=counters))
+        assert [r.business_id for r in records] == ["r1", "r2"]
+        assert len(built) == counters.parsed == 2
+        assert (counters.skipped_malformed, counters.skipped_non_restaurant) == (2, 2)
+        assert (counters.attribute_fallbacks, counters.unknown_feature_names) == (1, 1)
+
     def test_counter_exactness_invariant(self):
         lines = [
             business_line("b1"),
@@ -731,6 +758,122 @@ def test_review_classification_matches_reference(objects):
     for _, counter in expected:
         counts[counter] += 1
     assert counters.as_dict() == {**counts, "skipped_duplicate_id": 0}
+
+
+# Attribute values by name, each with what README's rules make of it: the
+# features it adds, its fallbacks and its names outside the built-in
+# features. A value that is not a string is read as its Python literal.
+_ORACLE_ATTRIBUTES = {
+    "WiFi": [("u'free'", {"wifi"}, 0, 0), ("u'no'", set(), 0, 0), ("'none'", set(), 0, 0)],
+    "HasTV": [("True", {"hastv"}, 0, 0), ("False", set(), 0, 0), (True, {"hastv"}, 0, 0),
+              (None, set(), 0, 0), ("definitely", set(), 1, 0)],
+    "RestaurantsPriceRange2": [("2", {"restaurantspricerange2"}, 0, 0), ("0", set(), 0, 0),
+                               (2.5, set(), 1, 0)],
+    "Music": [("True", set(), 0, 1), ("{'dj': True}", set(), 0, 1)],
+    "BusinessParking": [("{'lot': True, 'valet': False, 'rooftop': True}", {"lot"}, 0, 1),
+                        ({"street": True}, {"street"}, 0, 0),
+                        ("{'garage': True", set(), 1, 1), ([1, 2], set(), 1, 1)],
+    "Ambience": [("{classy: True, 'romantic': False}", {"classy"}, 0, 0)],
+}
+_ORACLE_VALUE = {(name, repr(value)): outcome
+                 for name, values in _ORACLE_ATTRIBUTES.items()
+                 for value, *outcome in values}
+
+
+def reference_business(obj):
+    """The record, or None, the counter one decoded business line adds to,
+    and its attribute fallbacks and unknown names, from README's rules. The
+    id must be a non-empty string holding no carriage return or NUL, the
+    stars a number (not a bool) on the half-star grid from 1 to 5, a
+    ``review_count``, when present, a non-negative integer, and the
+    attributes a map or absent or null; else the line is malformed and
+    counts nothing else. Every other line counts its attributes. It is a
+    restaurant when its categories, a comma-separated string or a list read
+    item by item as text, hold "Restaurants" once stripped, in any case."""
+    business_id, stars = obj.get("business_id"), obj.get("stars")
+    review_count, attributes = obj.get("review_count", 0), obj.get("attributes")
+    if not (type(business_id) is str and business_id != "" and "\r" not in business_id
+            and "\0" not in business_id and type(stars) in (int, float)
+            and stars in {1 + half / 2 for half in range(9)}
+            and type(review_count) is int and review_count >= 0
+            and (attributes is None or type(attributes) is dict)):
+        return None, "skipped_malformed", 0, 0
+    features, fallbacks, unknown = set(), 0, 0
+    for name, value in (attributes or {}).items():
+        present, value_fallbacks, value_unknown = _ORACLE_VALUE[name, repr(value)]
+        features |= present
+        fallbacks += value_fallbacks
+        unknown += value_unknown
+    categories = obj.get("categories")
+    if type(categories) is str:
+        categories = categories.split(",")
+    elif type(categories) is not list:
+        categories = []
+    if not any(str(item).strip().lower() == "restaurants" for item in categories):
+        return None, "skipped_non_restaurant", fallbacks, unknown
+    return (business_id, float(stars), frozenset(features)), "parsed", fallbacks, unknown
+
+
+# Values of every JSON type, for any business field. Each object is one the
+# oracle can read as attributes.
+_ANY_JSON = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
+    st.lists(st.integers(), max_size=2), st.sampled_from([{}, {"Music": "True"}]),
+)
+
+
+def _business_field(valid, edges):
+    """Valid values two times in three, else a value at one of the field's
+    rules' edges or of any JSON type, so that most lines are well-formed."""
+    return st.sampled_from([valid, valid, st.sampled_from(edges) | _ANY_JSON]).flatmap(
+        lambda strategy: strategy)
+
+
+_BUSINESS_FIELDS = {
+    "business_id": _business_field(st.sampled_from(["b1", "b2"]) | st.text(min_size=1, max_size=3),
+                                   ["", "cr\rid", "nul\0id"]),
+    "stars": _business_field(st.sampled_from([1, 1.0, 2.5, 3.5, 5, 5.0]),
+                             [0.5, 3.7, 5.5, "3.5", 2**1024, math.nan, math.inf]),
+    "review_count": _business_field(st.integers(0, 10**20), [-1, 3.0, True, "many"]),
+    "attributes": _business_field(
+        st.none() | st.fixed_dictionaries({}, optional={
+            name: st.sampled_from([value for value, *_ in values])
+            for name, values in _ORACLE_ATTRIBUTES.items()
+        }),
+        [[], "{'lot': True}"]),
+    "categories": _business_field(
+        st.sampled_from(["Restaurants, Thai", "Thai,restaurants", " RESTAURANTS ",
+                         ["Thai", " Restaurants "], [7, None, {"Restaurants": 1}, "restaurants"],
+                         "Restaurant Supplies", "Auto Repair, Tires", "", ["Restaurant Supplies"],
+                         [3.5, None, {"a": 1}], {"Restaurants": True}]),
+        ["restaurants,", "Restaurants;Thai", ["Restaurants, Thai"]]),
+}
+
+
+@given(st.lists(st.fixed_dictionaries(
+    {name: _BUSINESS_FIELDS[name] for name in ("business_id", "stars")},
+    optional={name: _BUSINESS_FIELDS[name]
+              for name in ("review_count", "attributes", "categories")},
+), max_size=8))
+@example([{"business_id": "b1", "stars": 4, "categories": "Auto Repair",
+           "attributes": {"HasTV": "definitely", "Music": "True"}}])
+@example([{"stars": 4, "categories": "Restaurants", "attributes": {"HasTV": "definitely"}}])
+@settings(max_examples=300, deadline=None)
+def test_business_classification_matches_reference(objects):
+    # Validation comes before the categories, and every well-formed line,
+    # restaurant or not, adds its attribute counts.
+    counters = BusinessCounters()
+    records = list(parse_businesses([json.dumps(obj) for obj in objects], counters))
+    expected = [reference_business(obj) for obj in objects]
+    assert [tuple(record) for record in records] == [
+        record for record, *_ in expected if record is not None
+    ]
+    counts = dict.fromkeys(BusinessCounters.__slots__, 0)
+    for _, counter, fallbacks, unknown in expected:
+        counts[counter] += 1
+        counts["attribute_fallbacks"] += fallbacks
+        counts["unknown_feature_names"] += unknown
+    assert counters.as_dict() == counts
 
 
 # A small pool of raw values, so that businesses repeat them often; it holds

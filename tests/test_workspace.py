@@ -273,24 +273,10 @@ DIGEST_WRITERS = [
 ]
 
 
-@pytest.mark.parametrize("writer,names,build", DIGEST_WRITERS,
-                         ids=[writer for writer, _, _ in DIGEST_WRITERS])
-@given(
-    # 1- to 4-byte UTF-8 characters: where a writer writes words raw (not
-    # JSON-escaped), some fall across the file's 8 KiB offsets
-    word=st.text(alphabet='a"\u00e9\u20ac\U0001f600', min_size=1, max_size=6),
-    count=st.one_of(st.integers(0, 12), st.integers(1500, 3000)),
-    cut=st.integers(1, 400),
-)
-@example(word="a", count=0, cut=1)
-@example(word="\u00e9\u20ac\U0001f600", count=3000, cut=400)
-@settings(max_examples=20, deadline=None)
-def test_recorded_digest_is_the_written_files_digest(writer, names, build, word, count, cut):
-    # Each writer first writes a longer file, then overwrites it in place
-    # with ``count`` words, so the cut to length drops a tail. The digest
-    # record_stage claims is that of the bytes the file holds, and a fresh
-    # Workspace reads the file.
-    words = [f"{word}{i}" for i in range(count + cut)]
+def _assert_recorded_digests(writer, names, build, words, count):
+    """Write ``words`` through ``writer``, then its first ``count`` over them
+    in place, and record the stage: the manifest's digest of each file is
+    that of the bytes the file holds, and a fresh Workspace reads it."""
     stage = workspace_module._WRITER[names[0]]
     with tempfile.TemporaryDirectory() as root:
         ws = Workspace(root)
@@ -306,6 +292,48 @@ def test_recorded_digest_is_the_written_files_digest(writer, names, build, word,
             assert files[name] == hashlib.sha256(data).hexdigest()
             with fresh._reading(ws.root / name) as (handle, digest):
                 digest.update(handle.read())
+
+
+@pytest.mark.parametrize("writer,names,build", DIGEST_WRITERS,
+                         ids=[writer for writer, _, _ in DIGEST_WRITERS])
+@given(
+    # 1- to 4-byte UTF-8 characters: where a writer writes words raw (not
+    # JSON-escaped), some fall across the file's 8 KiB offsets
+    word=st.text(alphabet='a"\u00e9\u20ac\U0001f600', min_size=1, max_size=6),
+    count=st.one_of(st.integers(0, 12), st.integers(1500, 3000)),
+    cut=st.integers(1, 400),
+)
+@example(word="a", count=0, cut=1)
+@example(word="\u00e9\u20ac\U0001f600", count=3000, cut=400)
+@settings(max_examples=20, deadline=None)
+def test_recorded_digest_is_the_written_files_digest(writer, names, build, word, count, cut):
+    # The cut to length drops the longer file's tail.
+    _assert_recorded_digests(writer, names, build, [f"{word}{i}" for i in range(count + cut)],
+                             count)
+
+
+class _CappedFileIO(io.FileIO):
+    """A raw file that writes at most three bytes per call, as a write cut
+    short by a signal or a filling disk does."""
+
+    def write(self, data):
+        return super().write(memoryview(data)[:3])
+
+
+class _ShortHashingFile(workspace_module._HashingFile, _CappedFileIO):
+    """The artifact writer's raw file over short writes: its ``write`` hashes
+    what ``_CappedFileIO`` took of each buffer."""
+
+
+@pytest.mark.parametrize("writer,names,build", DIGEST_WRITERS,
+                         ids=[writer for writer, _, _ in DIGEST_WRITERS])
+def test_recorded_digest_survives_short_writes(monkeypatch, writer, names, build):
+    # The buffered layer writes the rest of each buffer again, so the digest
+    # must take only the bytes each call wrote; 4-byte characters straddle
+    # the calls.
+    monkeypatch.setattr(workspace_module, "_HashingFile", _ShortHashingFile)
+    words = [f"\u00e9\U0001f600{i}" for i in range(40)]
+    _assert_recorded_digests(writer, names, build, words, 30)
 
 
 class TestTaxonomyHash:

@@ -9,7 +9,10 @@ floor there. This tool spawns each command from a parent that runs under
 is started with ``os.posix_spawn``, reaped with ``os.wait4`` and pinned,
 with its parent, to one CPU. The command arguments and the rank cutoff of
 the workload are the benchmark's own (``perfbench/run.py`` and
-``perfbench/workloads.py``).
+``perfbench/workloads.py``). The compare pairs are drawn from every
+restaurant ingest kept (``businesses.jsonl``), as the benchmark and
+``tools/artifact_digests.py`` draw them, so on a workload with a rank
+cutoff most pairs hold a restaurant outside the ranked cohort.
 
 It runs ingest, rank, score and compare (seeded pairs, formats alternating)
 ``--runs`` times each, in that order over one workspace, and prints one
@@ -46,7 +49,6 @@ def spawn_loop() -> int:
 
 def main(argv=None) -> int:
     import argparse
-    import csv
     import random
     import statistics
     import subprocess
@@ -89,8 +91,8 @@ def main(argv=None) -> int:
         for stage, stage_argv in stage_args(WORKLOADS[args.workload], corpus, ws).items():
             for _ in range(args.runs):
                 run(stage, stage_argv)
-        with open(ws / "ranked.csv", encoding="utf-8", newline="") as handle:
-            ids = sorted(row["business_id"] for row in csv.DictReader(handle))
+        with open(ws / "businesses.jsonl", encoding="utf-8") as handle:
+            ids = sorted(json.loads(line)["business_id"] for line in handle)
         rng = random.Random(SEED)
         for i in range(args.runs):
             run("compare", compare_args(ws, rng.sample(ids, 2), ("json", "text")[i % 2]))
