@@ -11,6 +11,9 @@ Each ``cmd_*(args, workspace)`` checks its stage before its flags and reads
 only the workspace files its output depends on. Of reviews.jsonl, compare
 reads only the pair's lines, found and checked through the index ingest
 writes beside it (``Workspace.read_indexed_reviews``); score reads it whole.
+Score profiles its star documents after ``begin_stage``, one at a time as
+topics.tsv is written, so a document that fails to profile fails the stage
+like a failed write: the manifest claims no score stage.
 Score keeps the lexicon it used in the workspace, so compare reads no file
 outside it. Exit codes: 0 on success, 1 on an input problem (missing file, bad
 record stream, unknown business id, bad flag, a failed workspace write), 2
@@ -152,15 +155,28 @@ def cmd_score(args, workspace) -> str:
             "there is nothing to score"
         )
     stats = CorpusStats.from_documents(documents)
-    profiles = build_topic_profiles(documents, stats, k=args.k, lexicon=lexicon)
-    scores = cohort_scores(profiles)
+    n_documents = len(documents)
     workspace.begin_stage("score")
-    workspace.write_topics(profiles)
+    # Profiling follows begin_stage: each document is profiled as topics.tsv
+    # is written, and it and its topics are freed once their rows are out.
+    # Reversed, so pop() takes them in sorted order. cohort_scores needs only
+    # each profile's stars and sentiment score, so it gets copies without topics.
+    documents.reverse()
+    scored = []
+
+    def profiles():
+        while documents:
+            [profile] = build_topic_profiles([documents.pop()], stats, k=args.k, lexicon=lexicon)
+            scored.append(profile._replace(topics=()))
+            yield profile
+
+    workspace.write_topics(profiles())
+    scores = cohort_scores(scored)
     workspace.write_cohort_scores(scores)
     workspace.write_corpus_stats(stats)
     workspace.write_lexicon(lexicon)
-    workspace.record_stage("score", {"documents": len(documents), "k": args.k})
-    lines = [f"scored {len(documents)} star documents over {len(cohort_ids)} restaurants"]
+    workspace.record_stage("score", {"documents": n_documents, "k": args.k})
+    lines = [f"scored {n_documents} star documents over {len(cohort_ids)} restaurants"]
     for stars in sorted(scores.combined):
         lines.append(
             f"  stars={stars} combined={scores.combined[stars]} "

@@ -17,7 +17,10 @@ from pathlib import Path
 
 import pytest
 
-from ratingsift import DEFAULT_TAXONOMY, ReviewRecord, Workspace, alcohol_amenity_taxonomy, cli
+from ratingsift import (
+    DEFAULT_TAXONOMY, ReviewRecord, StarDocument, TopicProfile, Workspace,
+    alcohol_amenity_taxonomy, cli,
+)
 from ratingsift import workspace as workspace_module
 from ratingsift.cli import main
 from ratingsift.workspace import STAGES
@@ -719,6 +722,36 @@ class TestExitCodes:
         assert main(steps[order[order.index(command) + 1]]) == 2
         assert f"no completed {command!r} stage" in capsys.readouterr().err
 
+    def test_failed_profile_is_never_claimed(
+        self, data_dir, lexicon_file, tmp_path, capsys, monkeypatch
+    ):
+        # Score profiles its documents after begin_stage, as topics.tsv is
+        # written, so a document that fails to profile fails the stage
+        # like a failed write, and leaves rank's artifacts as they were.
+        ws = tmp_path / "ws"
+        run_pipeline(data_dir, lexicon_file, ws, through="score")
+        steps = pipeline_steps(data_dir, lexicon_file, ws)
+        ranked = {name: (ws / name).read_bytes() for name in STAGES["rank"]}
+        build_topic_profiles = cli.build_topic_profiles
+        profiled = []
+
+        def failing_third(documents, *args, **kwargs):
+            profiled.extend(documents)
+            if len(profiled) == 3:
+                raise ValueError("third document")
+            return build_topic_profiles(documents, *args, **kwargs)
+
+        capsys.readouterr()
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "build_topic_profiles", failing_third)
+            assert main(steps["score"]) == 1
+        assert "third document" in capsys.readouterr().err
+        assert len(profiled) == 3
+        assert "score" not in Workspace(ws).load_manifest()["stages"]
+        assert main(steps["compare"]) == 2
+        assert "no completed 'score' stage" in capsys.readouterr().err
+        assert {name: (ws / name).read_bytes() for name in STAGES["rank"]} == ranked
+
     def test_score_reads_no_taxonomy(self, data_dir, lexicon_file, tmp_path, capsys):
         # Score's output depends only on ranked.csv, reviews.jsonl and the
         # lexicon; compare, which reads taxonomy.cfg, catches its edit.
@@ -1076,6 +1109,41 @@ def test_score_frees_reviews_before_profiling(data_dir, lexicon_file, tmp_path, 
     monkeypatch.setattr(Workspace, "read_reviews", tracked_read)
     monkeypatch.setattr(cli, "build_topic_profiles", profile_after_free)
     assert main(pipeline_steps(data_dir, lexicon_file, ws)["score"]) == 0
+
+
+def test_score_frees_each_profile_once_its_rows_are_written(
+        data_dir, lexicon_file, tmp_path, monkeypatch):
+    # write_topics reads each profile's topics first, so reading them marks
+    # the moment it takes that profile.
+    ws = tmp_path / "ws"
+    run_pipeline(data_dir, lexicon_file, ws, through="rank")
+    freed_documents, freed_profiles, had_topics = [], [], []
+
+    class FreedDocument(StarDocument):
+        __slots__ = ()
+
+        def __del__(self):
+            freed_documents.append(1)
+
+    class FreedProfile(TopicProfile):
+        __slots__ = ()
+
+        def __del__(self):
+            if self[2]:  # the copies without topics are kept for cohort_scores
+                freed_profiles.append(1)
+
+        @property
+        def topics(self):
+            assert len(freed_documents) >= len(had_topics), "an earlier document is alive"
+            assert len(freed_profiles) == sum(had_topics), "an earlier profile is alive"
+            had_topics.append(bool(self[2]))
+            return self[2]
+
+    monkeypatch.setattr("ratingsift.sentiment.StarDocument", FreedDocument)
+    monkeypatch.setattr("ratingsift.sentiment.TopicProfile", FreedProfile)
+    assert main(pipeline_steps(data_dir, lexicon_file, ws)["score"]) == 0
+    assert len(had_topics) == len(freed_documents) == 12
+    assert sum(had_topics) > 1
 
 
 def test_cli_import_reads_configs_by_path():
