@@ -21,9 +21,18 @@ when the workspace does not exist, is locked or lacks a prerequisite stage,
 when a workspace file the command reads is missing, damaged or changed since
 the stage that wrote it, or when one it reads or writes is not a regular
 file.
+``entrypoint``, the process's entry point (``python -m ratingsift.cli`` and
+the ``ratingsift`` script), calls ``gc.freeze()`` once ``main`` returns:
+every file and the lock are closed by then, so the full collections that
+interpreter shutdown runs would walk the heap start-up built and free
+nothing that matters. Frozen objects are skipped; output is still flushed,
+``atexit`` still runs and the exit code is unchanged. ``main`` never
+freezes: tests and the demos run it in-process, where a freeze would keep
+whatever is alive then out of every later collection.
 """
 
 import argparse
+import gc
 import json
 import sys
 
@@ -236,7 +245,15 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    raise SystemExit(main())
+    """Run ``main`` on ``sys.argv`` and exit with its code.
+
+    The freeze comes after ``main``, not before, so it also takes what the
+    command kept until exit, which shutdown's collections would otherwise
+    walk. It stays out of ``main``, which tests call in-process.
+    """
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

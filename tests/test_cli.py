@@ -3,6 +3,7 @@
 import contextlib
 import errno
 import fcntl
+import gc
 import hashlib
 import json
 import math
@@ -968,27 +969,43 @@ class TestDeterminism:
         assert main(["compare", "--workspace", str(ws), "--a", "ref_a", "--b", "ref_b"]) == 0
         assert capsys.readouterr().out == first
 
-    def test_artifacts_identical_across_hash_seeds(self, data_dir, lexicon_file, tmp_path):
+    def test_artifacts_identical_across_hash_seeds(self, data_dir, lexicon_file, tmp_path, capsys):
         # Each run is its own interpreter, so a set or dict order that
-        # depends on string hashing would show up as a changed byte.
+        # depends on string hashing would show up as a changed byte. The
+        # in-process run is the reference: a spawned command goes through
+        # entrypoint, and must exit, print and write as main does, a failed
+        # compare (unknown --b) included.
         src = Path(__file__).resolve().parent.parent / "src"
-        runs = []
-        for seed in ("0", "1"):
-            ws = tmp_path / f"ws{seed}"
+
+        def outcomes(ws, run):
+            steps = pipeline_steps(data_dir, lexicon_file, ws)
+            unknown_b = steps["compare"][:-1] + ["no_such_id"]
+            results = [run(argv) for argv in (*steps.values(), unknown_b)]
+            artifacts = {p.name: p.read_bytes() for p in sorted(ws.iterdir()) if p.is_file()}
+            return artifacts, results
+
+        def in_process(argv):
+            code = main(argv)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        def spawned(seed):
             env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
-            stdout = []
-            for argv in pipeline_steps(data_dir, lexicon_file, ws).values():
+
+            def run(argv):
                 result = subprocess.run(
                     [sys.executable, "-m", "ratingsift.cli", *argv],
                     env=env, capture_output=True, text=True, timeout=60,
                 )
-                assert result.returncode == 0, result.stderr
-                stdout.append(result.stdout)
-            artifacts = {
-                p.name: p.read_bytes() for p in sorted(ws.iterdir()) if p.is_file()
-            }
-            runs.append((artifacts, stdout))
-        assert runs[0] == runs[1]
+                return result.returncode, result.stdout, result.stderr
+            return run
+
+        reference = outcomes(tmp_path / "in-process", in_process)
+        codes, _, errors = zip(*reference[1])
+        assert codes == (0, 0, 0, 0, 1)
+        assert errors[-1] == "ratingsift: unknown business id: no_such_id\n"
+        for seed in ("0", "1"):
+            assert outcomes(tmp_path / f"ws{seed}", spawned(seed)) == reference
 
     def test_golden_bytes(self, data_dir, lexicon_file, tmp_path, capsys):
         # Reruns only show that the writers are deterministic; these digests
@@ -1144,6 +1161,31 @@ def test_score_frees_each_profile_once_its_rows_are_written(
     assert main(pipeline_steps(data_dir, lexicon_file, ws)["score"]) == 0
     assert len(had_topics) == len(freed_documents) == 12
     assert sum(had_topics) > 1
+
+
+def test_entrypoint_freezes_only_after_main(data_dir, lexicon_file, tmp_path, monkeypatch):
+    # The process entry point freezes what is left once main returns, so
+    # shutdown's collections skip it. main itself, which tests and the demos
+    # run in-process, never freezes.
+    before = gc.get_freeze_count()
+    run_pipeline(data_dir, lexicon_file, tmp_path / "ws")
+    assert gc.get_freeze_count() == before
+
+    seen = []
+
+    def stand_in():
+        seen.append(gc.get_freeze_count())
+        return 2
+
+    monkeypatch.setattr(cli, "main", stand_in)
+    try:
+        with pytest.raises(SystemExit) as exited:
+            cli.entrypoint()
+        assert exited.value.code == 2
+        assert seen == [before]
+        assert gc.get_freeze_count() > before
+    finally:
+        gc.unfreeze()
 
 
 def test_cli_import_reads_configs_by_path():
